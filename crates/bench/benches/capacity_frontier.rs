@@ -18,11 +18,11 @@
 //!
 //! Run with: `cargo bench -p c4h-bench --bench capacity_frontier`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: fewer points, shorter
-//! horizon; set `C4H_FRONTIER_DIR=<dir>` to write the frontier table as
-//! JSON plus the highest-load protected run's Prometheus export).
+//! horizon; set `C4H_BENCH_DIR=<dir>` to write `BENCH_capacity_frontier.json`
+//! plus `frontier.prom`, the highest-load protected run's Prometheus
+//! export).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use c4h_bench::{banner, BenchReport};
@@ -179,32 +179,6 @@ fn run_point(offered_hz: f64, protected: bool) -> (Point, Cloud4Home) {
     (point, home)
 }
 
-fn write_artifacts(dir: &str, points: &[Point], top_protected: &Cloud4Home) {
-    std::fs::create_dir_all(dir).expect("create frontier artifact dir");
-    let mut json = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "  {{\"offered_hz\": {}, \"protected\": {}, \"admitted\": {}, \
-             \"shed\": {}, \"fetch_p99_ms\": {:.3}, \"goodput_hz\": {:.3}}}{}",
-            p.offered_hz,
-            p.protected,
-            p.admitted,
-            p.shed,
-            p.fetch_p99_ms,
-            p.goodput_hz,
-            if i + 1 < points.len() { ",\n" } else { "\n" }
-        );
-    }
-    json.push_str("]\n");
-    std::fs::write(format!("{dir}/frontier.json"), json).expect("write frontier.json");
-    std::fs::write(
-        format!("{dir}/frontier.prom"),
-        top_protected.prometheus_text(),
-    )
-    .expect("write frontier.prom");
-}
-
 fn main() {
     banner(
         "Capacity frontier",
@@ -300,11 +274,12 @@ fn main() {
         ),
     );
 
-    if let Some(dir) = std::env::var_os("C4H_FRONTIER_DIR") {
-        let dir = dir.to_string_lossy().into_owned();
+    if let Some(dir) = std::env::var_os("C4H_BENCH_DIR") {
+        std::fs::create_dir_all(&dir).expect("create bench artifact dir");
+        let path = std::path::Path::new(&dir).join("frontier.prom");
         let home = top_protected.expect("at least one protected point ran");
-        write_artifacts(&dir, &points, &home);
-        println!("\nwrote frontier.json + frontier.prom to {dir}/");
+        std::fs::write(&path, home.prometheus_text()).expect("write frontier.prom");
+        println!("wrote {}", path.display());
     }
     report.finish();
 }

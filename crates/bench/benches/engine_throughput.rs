@@ -34,10 +34,8 @@
 //! Run with: `cargo bench -p c4h-bench --bench engine_throughput`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: fewer hold ops, no
 //! speedup assertions — the zero-alloc assertion still gates; set
-//! `C4H_ENGINE_DIR=<dir>` to write the table as JSON for artifact
-//! upload).
+//! `C4H_BENCH_DIR=<dir>` to write `BENCH_engine_throughput.json`).
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use c4h_bench::{allocations, banner, BenchReport, CountingAlloc};
@@ -292,10 +290,9 @@ fn main() {
     report.config("smoke", smoke());
     report.config("hold_ops_per_point", ops);
 
-    let mut json = String::from("{\n  \"hold\": [\n");
     let mut vs_heap_100k = 0.0;
     let mut vs_inline_1m = 0.0;
-    for (i, &n) in SIZES.iter().enumerate() {
+    for n in SIZES {
         let (slab, slab_allocs, warm) = hold_slab(n, ops);
         let (inline, _, _) = hold_inline(n, ops);
         let (heap, _, _) = hold_heap(n, ops);
@@ -332,17 +329,7 @@ fn main() {
                  allocation-free"
             ),
         );
-        let comma = if i + 1 == SIZES.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"pending\": {n}, \"slab_events_per_sec\": {slab:.0}, \
-             \"inline_events_per_sec\": {inline:.0}, \
-             \"heap_events_per_sec\": {heap:.0}, \"speedup_vs_heap\": {vs_heap:.3}, \
-             \"speedup_vs_inline\": {vs_inline:.3}, \
-             \"slab_allocs\": {slab_allocs}, \"warm_chunks\": {warm}}}{comma}"
-        );
     }
-    json.push_str("  ],\n");
 
     // Causal-ledger overhead: recording decisions into warmed rings must
     // stay allocation-free and within 3% of the ledger-off rate. Hard
@@ -385,20 +372,6 @@ fn main() {
         ("runtime_ops", runtime_ops.into()),
         ("runtime_ops_per_sec", runtime_rate.into()),
     ]);
-    let _ = writeln!(
-        json,
-        "  \"runtime_ops\": {runtime_ops},\n  \"runtime_ops_per_sec\": {runtime_rate:.1},\n  \
-         \"hold_ops_per_point\": {ops},\n  \"smoke\": {}\n}}",
-        smoke()
-    );
-
-    if let Some(dir) = std::env::var_os("C4H_ENGINE_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create artifact dir");
-        let path = dir.join("engine_throughput.json");
-        std::fs::write(&path, &json).expect("write engine_throughput.json");
-        println!("wrote {}", path.display());
-    }
 
     // Timing acceptance bars. Smoke runs (CI shared runners, tiny op
     // counts) print but don't gate on wall-clock ratios; the zero-alloc

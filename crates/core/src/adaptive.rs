@@ -346,7 +346,8 @@ mod tests {
             retries: 0,
             failovers: 0,
             partial_replication: 0,
-            critical_path: crate::report::PathAttribution::default(),
+            via_cloud,
+            critical_path: Default::default(),
             stages: Vec::new(),
             ledger: Vec::new(),
             outcome: Ok(OpOutput {

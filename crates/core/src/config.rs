@@ -393,17 +393,6 @@ pub struct Config {
     /// queues repairs, instead of waiting for an unrelated peer death to
     /// trigger a full scan. `0` disables the sweep.
     pub anti_entropy_ms: u64,
-    /// Flight-recorder fault-ring depth: how many recent fault/lifecycle
-    /// notes a post-mortem dump can carry.
-    pub fault_ring: usize,
-    /// Flight-recorder gauge-ring depth: how many recent gauge rows a
-    /// post-mortem dump can carry.
-    pub gauge_ring: usize,
-    /// Maximum post-mortem dumps retained per run.
-    pub dump_cap: usize,
-    /// How many worst critical-path rows the health plane retains for the
-    /// `top` shell command.
-    pub path_ring: usize,
     /// Causal op ledger: record per-op decision events (admission, retries,
     /// backoff, breaker actions, hedging, reassignment, adaptive moves) for
     /// the `explain` plane. Off by default; the disabled path is one
@@ -413,9 +402,6 @@ pub struct Config {
     /// Per-op causal-ring depth: how many decision events one op retains
     /// (eviction protects the live cause chain).
     pub ledger_ring: usize,
-    /// How many completed op reports the explain plane keeps addressable
-    /// by `explain <op>` (oldest evicted first).
-    pub explain_ring: usize,
 }
 
 impl Config {
@@ -469,13 +455,8 @@ impl Config {
             overload: OverloadConfig::default(),
             adaptive: AdaptiveConfig::default(),
             anti_entropy_ms: 10_000,
-            fault_ring: 32,
-            gauge_ring: 8,
-            dump_cap: 16,
-            path_ring: 64,
             ledger: false,
             ledger_ring: 64,
-            explain_ring: 128,
         }
     }
 
@@ -499,11 +480,8 @@ impl Config {
     ///   former is the documented chunking-off sentinel, the latter merely
     ///   means the window holds fewer breaching completions;
     /// - a negative or non-finite `fetch_hedge`;
-    /// - empty flight-recorder rings (`fault_ring`, `gauge_ring`, or
-    ///   `path_ring` of 0; `dump_cap` may be 0 to discard post-mortems);
     /// - with the causal ledger enabled: a `ledger_ring` below 2 (a ring
-    ///   that cannot hold a cause and its effect) or an `explain_ring` of 0
-    ///   (nothing would be addressable by `explain`);
+    ///   that cannot hold a cause and its effect);
     /// - with the overload plane enabled: `shed_max_permille > 1000`,
     ///   `breaker_failures == 0`, a positive `admit_rate` with
     ///   `admit_burst == 0`, or a positive `retry_refill_per_sec` with
@@ -556,16 +534,10 @@ impl Config {
                 self.fetch_hedge
             ));
         }
-        if self.fault_ring == 0 || self.gauge_ring == 0 || self.path_ring == 0 {
-            return Err("flight-recorder rings (fault_ring, gauge_ring, path_ring) \
-                 must be non-empty"
-                .into());
-        }
-        if self.ledger && (self.ledger_ring < 2 || self.explain_ring == 0) {
+        if self.ledger && self.ledger_ring < 2 {
             return Err(format!(
-                "causal ledger needs ledger_ring >= 2 (a cause and its effect; \
-                 have {}) and explain_ring >= 1 (have {})",
-                self.ledger_ring, self.explain_ring
+                "causal ledger needs ledger_ring >= 2 (a cause and its effect; have {})",
+                self.ledger_ring
             ));
         }
         if self.overload.enabled {
@@ -749,29 +721,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_empty_rings() {
-        for field in 0..3 {
-            let mut c = Config::paper_testbed(1);
-            match field {
-                0 => c.fault_ring = 0,
-                1 => c.gauge_ring = 0,
-                _ => c.path_ring = 0,
-            }
-            assert!(c.validate().unwrap_err().contains("ring"));
-        }
-        // dump_cap 0 just discards post-mortems; it stays legal.
-        let mut c = Config::paper_testbed(1);
-        c.dump_cap = 0;
-        assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
     fn validate_rejects_degenerate_ledger_rings() {
         let mut c = Config::paper_testbed(1);
         // Off by default, and degenerate rings are fine while off.
         assert!(!c.ledger);
         c.ledger_ring = 0;
-        c.explain_ring = 0;
         assert_eq!(c.validate(), Ok(()));
 
         c.ledger = true;
@@ -779,8 +733,6 @@ mod tests {
         c.ledger_ring = 1; // cannot hold a cause and its effect
         assert!(c.validate().is_err());
         c.ledger_ring = 2;
-        assert!(c.validate().unwrap_err().contains("explain_ring"));
-        c.explain_ring = 1;
         assert_eq!(c.validate(), Ok(()));
     }
 

@@ -1,20 +1,23 @@
 //! The explain plane: per-op critical-path DAGs rendered from completed
 //! reports.
 //!
-//! A report completed with the causal ledger enabled carries its stage
-//! spans and decision events (see [`OpReport::stages`] /
-//! [`OpReport::ledger`]). This module tiles those stages against the op's
-//! `[submitted, completed]` window into an edge sequence — alternating
-//! service and wait edges whose durations sum to **exactly** the op's
-//! latency — attaches each ledger decision to the edge it fell in, and
-//! renders the result as an annotated timeline (`explain`), machine-
-//! readable JSON (`explain_json`), or one-line summaries (`slowest`,
-//! `outliers`). Everything here is pure rendering over recorded data:
-//! integer-only math, `BTreeMap`-free, byte-stable for a fixed seed.
+//! A report completed with tracing or the causal ledger enabled carries its
+//! stage spans and decision events (see [`OpReport::stages`] /
+//! [`OpReport::ledger`]) — the one causal source every latency view reads.
+//! This module tiles those stages against the op's `[submitted, completed]`
+//! window into an edge sequence — alternating service and wait edges whose
+//! durations sum to **exactly** the op's latency — attaches each ledger
+//! decision to the edge it fell in, and renders the result as an annotated
+//! timeline (`explain`), machine-readable JSON (`explain_json`, also the
+//! body of a post-mortem dump), or one-line summaries (`slowest`,
+//! `outliers`). The bucket fold ([`OpReport::critical_path`], `top`,
+//! `RunStats::crit_*`) walks the same tiling. Everything here is pure
+//! rendering over recorded data: integer-only math, byte-stable for a
+//! fixed seed.
 
 use std::fmt::Write;
 
-use c4h_telemetry::{tile_critical_path, DagEdge};
+use c4h_telemetry::{fold_critical_path, tile_critical_path, CriticalPath, DagEdge, PathBucket};
 
 use crate::health::bucket_for_stage;
 use crate::report::OpReport;
@@ -23,15 +26,26 @@ impl OpReport {
     /// The op's critical-path DAG: service and wait edges exactly tiling
     /// `[submitted, completed]` (summed edge durations equal
     /// [`OpReport::total`] to the nanosecond), with ledger-event `seq`s
-    /// attached to the edge each decision fell in. Empty when the report
-    /// completed without the causal ledger enabled (no stages recorded and
-    /// a zero-length window); a ledger-enabled op with no stages still
-    /// yields one all-wait edge.
+    /// attached to the edge each decision fell in. A report whose stages
+    /// were never recorded (tracing and ledger off) or already released
+    /// yields one all-wait edge (none for a zero-length window).
     pub fn critical_dag(&self) -> Vec<DagEdge> {
         let start = self.submitted.as_nanos();
         let end = self.completed.as_nanos();
         let events: Vec<(u32, u64)> = self.ledger.iter().map(|e| (e.seq, e.ts_ns)).collect();
         tile_critical_path(start, end, &self.stages, &events)
+    }
+
+    /// The bucket fold of [`OpReport::critical_dag`] over the same tiling,
+    /// without materializing edges: a service edge charges its stage's
+    /// bucket, a wait edge charges `other`.
+    pub(crate) fn fold_critical_path(&self) -> CriticalPath {
+        fold_critical_path(
+            self.submitted.as_nanos(),
+            self.completed.as_nanos(),
+            &self.stages,
+            |label| bucket_for_stage(label, self.via_cloud),
+        )
     }
 }
 
@@ -44,17 +58,13 @@ fn outcome_label(report: &OpReport) -> &'static str {
     }
 }
 
-fn via_cloud(report: &OpReport) -> bool {
-    matches!(&report.outcome, Ok(o) if o.via_cloud)
-}
-
-/// The latency bucket an edge charges to: the stage analyzer's bucket for
-/// service edges, `"wait"` for gap edges.
+/// The latency bucket an edge charges in the fold: the stage's bucket for
+/// service edges, `other` for wait edges.
 fn edge_bucket(report: &OpReport, edge: &DagEdge) -> &'static str {
     if edge.wait {
-        "wait"
+        PathBucket::Other.label()
     } else {
-        bucket_for_stage(&edge.label, via_cloud(report)).label()
+        bucket_for_stage(edge.label, report.via_cloud).label()
     }
 }
 
@@ -79,7 +89,10 @@ pub(crate) fn explain_text(report: &OpReport) -> String {
         report.submitted.as_nanos(),
     );
     if report.stages.is_empty() && report.ledger.is_empty() {
-        out.push_str("no causal data recorded (run with the ledger enabled)\n");
+        out.push_str(
+            "no causal data recorded (needs tracing or the ledger on; \
+             the last 128 such ops keep it)\n",
+        );
         return out;
     }
     let _ = writeln!(out, "critical path ({} edges):", edges.len());
@@ -172,7 +185,7 @@ pub(crate) fn explain_json(report: &OpReport) -> String {
             out.push(',');
         }
         out.push_str("{\"label\":\"");
-        escape_into(&mut out, &edge.label);
+        escape_into(&mut out, edge.label);
         let _ = write!(
             out,
             "\",\"start_ns\":{},\"end_ns\":{},\"wait\":{},\"bucket\":\"{}\",\"causes\":[",
@@ -206,25 +219,19 @@ pub(crate) fn explain_json(report: &OpReport) -> String {
     out
 }
 
-/// One line per report: id, kind, object, outcome, latency, dominant edge.
-/// Used by the `slowest` and `outliers` commands.
+/// One line per report: id, kind, object, outcome, latency, and the
+/// dominant bucket of its critical path. Used by the `slowest` and
+/// `outliers` commands.
 pub(crate) fn summary_line(report: &OpReport) -> String {
     let total_ns = report.completed.as_nanos() - report.submitted.as_nanos();
-    let edges = report.critical_dag();
-    let dominant = edges
-        .iter()
-        .max_by_key(|e| (e.dur_ns(), std::cmp::Reverse((e.start_ns, e.end_ns))))
-        .map(|e| (e.label.clone(), e.dur_ns()))
-        .unwrap_or_else(|| ("none".to_owned(), 0));
+    let (bucket, ns) = report.critical_path.dominant();
     format!(
-        "{} {} object={} outcome={} latency={}ns dominant={} ({}ns, {} events)",
+        "{} {} object={} outcome={} latency={}ns dominant={bucket} ({ns}ns, {} events)",
         report.id,
         report.kind,
         report.object,
         outcome_label(report),
         total_ns,
-        dominant.0,
-        dominant.1,
         report.ledger.len(),
     )
 }
@@ -232,11 +239,11 @@ pub(crate) fn summary_line(report: &OpReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, PathAttribution};
+    use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput};
     use c4h_simnet::SimTime;
 
-    fn report_with(stages: Vec<(String, u64, u64)>, ledger: Vec<CausalEvent>) -> OpReport {
-        OpReport {
+    fn report_with(stages: Vec<(&'static str, u64, u64)>, ledger: Vec<CausalEvent>) -> OpReport {
+        let mut r = OpReport {
             id: OpId(7),
             kind: "fetch",
             object: "cam/clip.bin".into(),
@@ -246,7 +253,8 @@ mod tests {
             retries: 1,
             failovers: 0,
             partial_replication: 0,
-            critical_path: PathAttribution::default(),
+            via_cloud: false,
+            critical_path: CriticalPath::default(),
             stages,
             ledger,
             outcome: Ok(OpOutput {
@@ -256,7 +264,9 @@ mod tests {
                 summary: None,
                 listing: None,
             }),
-        }
+        };
+        r.critical_path = r.fold_critical_path();
+        r
     }
 
     fn cev(seq: u32, cause: u32, ts_ns: u64, kind: &str) -> CausalEvent {
@@ -274,8 +284,8 @@ mod tests {
     fn dag_tiles_the_exact_window() {
         let r = report_with(
             vec![
-                ("fetch.meta_get".into(), 1_200, 2_000),
-                ("fetch.flow_home".into(), 2_500, 10_000),
+                ("fetch.meta_get", 1_200, 2_000),
+                ("fetch.flow_home", 2_500, 10_000),
             ],
             vec![cev(1, 0, 1_000, "admit"), cev(2, 1, 2_400, "backoff.wait")],
         );
@@ -292,7 +302,7 @@ mod tests {
     #[test]
     fn text_and_json_are_deterministic_and_exact() {
         let r = report_with(
-            vec![("fetch.meta_get".into(), 1_200, 2_000)],
+            vec![("fetch.meta_get", 1_200, 2_000)],
             vec![cev(1, 0, 1_000, "admit")],
         );
         let text = explain_text(&r);
@@ -300,6 +310,7 @@ mod tests {
         assert!(text.contains("op#7 fetch object=cam/clip.bin outcome=ok"));
         assert!(text.contains("fetch.meta_get"));
         assert!(text.contains("[dht]"));
+        assert!(text.contains(" wait [other]"), "wait edges charge other");
         assert!(text.ends_with("exact-sum: 10000ns over 3 edges == latency 10000ns (ok)\n"));
         let json = explain_json(&r);
         assert_eq!(json, explain_json(&r));
@@ -314,7 +325,10 @@ mod tests {
         assert!(explain_text(&r).contains("no causal data recorded"));
         let line = summary_line(&r);
         assert!(line.contains("latency=10000ns"));
-        assert!(line.contains("dominant=wait"));
+        assert!(
+            line.contains("dominant=other (10000ns, 0 events)"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -17,29 +17,23 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-use c4h_simnet::{SimTime, Sym};
-use c4h_telemetry::{CriticalPath, FlightRecorder, PathBucket, SlidingHistogram};
+use c4h_simnet::{FxHashMap, SimTime};
+use c4h_telemetry::{FlightRecorder, PathBucket, SlidingHistogram};
 
 use crate::config::Config;
-use crate::report::{OpId, PathAttribution};
+use crate::report::{OpId, OpReport};
 
 /// Sliding-window slices per window (granularity of expiry).
-///
-/// The ring depths that used to live beside this constant (`FAULT_RING`,
-/// `GAUGE_RING`, `DUMP_CAP`, `PATH_RING`) are now `Config` fields
-/// (`fault_ring`, `gauge_ring`, `dump_cap`, `path_ring`) with the same
-/// defaults.
 const WINDOW_SLICES: u64 = 16;
-
-/// One completed operation's critical path, kept for the `top` surface.
-#[derive(Debug, Clone)]
-pub(crate) struct PathRow {
-    pub(crate) op: OpId,
-    pub(crate) kind: &'static str,
-    pub(crate) object: Sym,
-    pub(crate) total_ns: u64,
-    pub(crate) path: PathAttribution,
-}
+/// Flight-recorder fault-ring depth: recent fault notes a dump carries.
+const FAULT_RING: usize = 32;
+/// Flight-recorder gauge-ring depth: recent gauge rows a dump carries.
+const GAUGE_RING: usize = 8;
+/// Maximum post-mortem dumps retained per run.
+const DUMP_CAP: usize = 16;
+/// How many completed reports keep their stage spans and causal chain —
+/// the ring `explain` resolves detail from and `top`/`slowest` rank.
+const DETAIL_RING: usize = 128;
 
 /// An SLO breach detected at op completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +55,8 @@ pub(crate) struct KindHealth {
     pub(crate) slo_ns: Option<u64>,
 }
 
-/// Runtime state of the health plane: SLO windows, the worst-path ring,
-/// the flight recorder, and the sampler's arming bookkeeping.
+/// Runtime state of the health plane: SLO windows, the retained-detail
+/// ring, the flight recorder, and the sampler's arming bookkeeping.
 #[derive(Debug)]
 pub(crate) struct HealthPlane {
     /// Gauge sampling cadence; `Duration::ZERO` disables the sampler.
@@ -74,9 +68,9 @@ pub(crate) struct HealthPlane {
     windows: BTreeMap<&'static str, SlidingHistogram>,
     /// Post-mortem context ring + dumps.
     pub(crate) flight: FlightRecorder,
-    paths: VecDeque<PathRow>,
-    /// Bound on `paths` (`Config::path_ring`).
-    path_ring: usize,
+    /// Completed ops whose reports still hold their stage spans and causal
+    /// chain, oldest first; bounded by [`DETAIL_RING`].
+    detail: VecDeque<OpId>,
     /// Virtual time of the most recent gauge sample.
     pub(crate) last_sample: Option<SimTime>,
     /// Whether a `HealthSample` event is pending in the queue.
@@ -98,9 +92,8 @@ impl HealthPlane {
                 .map(|(k, ms)| (k.clone(), ms.saturating_mul(1_000_000)))
                 .collect(),
             windows: BTreeMap::new(),
-            flight: FlightRecorder::new(config.fault_ring, config.gauge_ring, config.dump_cap),
-            paths: VecDeque::new(),
-            path_ring: config.path_ring,
+            flight: FlightRecorder::new(FAULT_RING, GAUGE_RING, DUMP_CAP),
+            detail: VecDeque::new(),
             last_sample: None,
             armed: false,
             violations: 0,
@@ -150,19 +143,35 @@ impl HealthPlane {
             .collect()
     }
 
-    /// Remembers a completed op's critical path (bounded ring).
-    pub(crate) fn record_path(&mut self, row: PathRow) {
-        while self.paths.len() >= self.path_ring {
-            self.paths.pop_front();
+    /// Admits a just-completed report into the retained-detail ring. Past
+    /// [`DETAIL_RING`], the oldest report's stage spans and causal chain
+    /// are released; the report itself (outcome, breakdown, bucket fold)
+    /// survives.
+    pub(crate) fn retain_detail(&mut self, op: OpId, reports: &mut FxHashMap<OpId, OpReport>) {
+        self.detail.push_back(op);
+        if self.detail.len() > DETAIL_RING {
+            let old = self.detail.pop_front();
+            if let Some(r) = old.and_then(|id| reports.get_mut(&id)) {
+                r.stages = Vec::new();
+                r.ledger = Vec::new();
+            }
         }
-        self.paths.push_back(row);
     }
 
-    /// The `n` slowest recently completed ops, worst first (ties keep
-    /// completion order, so the output is deterministic).
-    pub(crate) fn worst_paths(&self, n: usize) -> Vec<PathRow> {
-        let mut rows: Vec<PathRow> = self.paths.iter().cloned().collect();
-        rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.op.0.cmp(&b.op.0)));
+    /// The `n` slowest reports in the retained-detail ring, worst first
+    /// (ties by op id, so the output is deterministic). Reports already
+    /// taken by the caller are skipped.
+    pub(crate) fn slowest<'a>(
+        &self,
+        reports: &'a FxHashMap<OpId, OpReport>,
+        n: usize,
+    ) -> Vec<&'a OpReport> {
+        let mut rows: Vec<&OpReport> = self
+            .detail
+            .iter()
+            .filter_map(|id| reports.get(id))
+            .collect();
+        rows.sort_by(|a, b| b.total().cmp(&a.total()).then(a.id.cmp(&b.id)));
         rows.truncate(n);
         rows
     }
@@ -208,29 +217,6 @@ pub(crate) fn bucket_for_stage(name: &str, via_cloud: bool) -> PathBucket {
         "proc.exec" => PathBucket::Service,
         _ => PathBucket::Other,
     }
-}
-
-/// Attributes an op's end-to-end latency across buckets from its stage log
-/// (the sequential `(name, start_ns, end_ns)` spans `phase()` charged).
-///
-/// Stages on the sequential path never overlap, so bucket sums plus the
-/// `Other` remainder (queueing, command processing, uncharged transitions)
-/// equal `total_ns` exactly.
-pub(crate) fn attribute(
-    stage_log: &[(&'static str, u64, u64)],
-    total_ns: u64,
-    via_cloud: bool,
-) -> CriticalPath {
-    let mut cp = CriticalPath::default();
-    for (name, start_ns, end_ns) in stage_log {
-        cp.add(
-            bucket_for_stage(name, via_cloud),
-            end_ns.saturating_sub(*start_ns),
-        );
-    }
-    let accounted = cp.total();
-    cp.add(PathBucket::Other, total_ns.saturating_sub(accounted));
-    cp
 }
 
 #[cfg(test)]
@@ -299,56 +285,93 @@ mod tests {
         assert_eq!(bucket_for_stage("not.a.stage", false), PathBucket::Other);
     }
 
+    fn report(id: u64, total_ns: u64, stages: Vec<(&'static str, u64, u64)>) -> OpReport {
+        let mut r = OpReport {
+            id: OpId(id),
+            kind: "fetch",
+            object: format!("o{id}").as_str().into(),
+            submitted: SimTime::ZERO,
+            completed: SimTime::from_nanos(total_ns),
+            breakdown: Default::default(),
+            retries: 0,
+            failovers: 0,
+            partial_replication: 0,
+            via_cloud: false,
+            critical_path: Default::default(),
+            stages,
+            ledger: Vec::new(),
+            outcome: Err(crate::report::OpError::Timeout(format!("o{id}"))),
+        };
+        r.critical_path = r.fold_critical_path();
+        r
+    }
+
     #[test]
     fn attribution_sums_to_total_with_other_as_remainder() {
-        let log: Vec<(&'static str, u64, u64)> = vec![
-            ("fetch.meta_get", 0, 10),
-            ("fetch.flow_home", 10, 70),
-            ("fetch.channel_out", 70, 80),
-        ];
-        let cp = attribute(&log, 100, false);
+        let r = report(
+            1,
+            100,
+            vec![
+                ("fetch.meta_get", 0, 10),
+                ("fetch.flow_home", 10, 70),
+                ("fetch.channel_out", 70, 80),
+            ],
+        );
+        let cp = r.critical_path;
         assert_eq!(cp.dht_ns, 10);
         assert_eq!(cp.lan_ns, 60);
         assert_eq!(cp.other_ns, 30); // 10 charged + 20 gap
         assert_eq!(cp.total(), 100);
         assert_eq!(cp.dominant(), ("lan", 60));
+        // The fold is the DAG's: bucketing its edges gives the same sums.
+        let mut by_edge = c4h_telemetry::CriticalPath::default();
+        for edge in r.critical_dag() {
+            let bucket = if edge.wait {
+                PathBucket::Other
+            } else {
+                bucket_for_stage(edge.label, r.via_cloud)
+            };
+            by_edge.add(bucket, edge.dur_ns());
+        }
+        assert_eq!(by_edge, cp);
     }
 
     #[test]
-    fn worst_paths_sort_descending_and_stay_bounded() {
+    fn slowest_ranks_retained_reports_worst_first() {
         let mut hp = plane(100);
-        let ring = Config::paper_testbed(1).path_ring as u64;
-        for i in 0..(ring + 10) {
-            hp.record_path(PathRow {
-                op: OpId(i),
-                kind: "fetch",
-                object: Sym::new(&format!("o{i}")),
-                total_ns: i * 100,
-                path: PathAttribution::default(),
-            });
+        let mut reports = FxHashMap::default();
+        let n = DETAIL_RING as u64 + 10;
+        for i in 0..n {
+            reports.insert(OpId(i), report(i, 1 + (i % 7) * 100, Vec::new()));
+            hp.retain_detail(OpId(i), &mut reports);
         }
-        let worst = hp.worst_paths(3);
+        let worst = hp.slowest(&reports, 3);
         assert_eq!(worst.len(), 3);
-        assert!(worst[0].total_ns > worst[1].total_ns);
-        assert_eq!(worst[0].op, OpId(ring + 9));
+        assert!(worst[0].total() >= worst[1].total());
+        // Ties rank by op id; the first ten ops left the ring.
+        assert_eq!(worst[0].total().as_nanos(), 601);
+        assert_eq!(worst[0].id, OpId(13));
+        assert_eq!(hp.slowest(&reports, usize::MAX).len(), DETAIL_RING);
+        // A report taken by the caller drops out of the ranking.
+        reports.remove(&OpId(13));
+        assert_eq!(hp.slowest(&reports, 1)[0].id, OpId(20));
     }
 
     #[test]
-    fn path_ring_cap_follows_config() {
-        let mut cfg = Config::paper_testbed(1);
-        cfg.path_ring = 2;
-        let mut hp = HealthPlane::new(&cfg);
-        for i in 0..5u64 {
-            hp.record_path(PathRow {
-                op: OpId(i),
-                kind: "fetch",
-                object: Sym::new(&format!("o{i}")),
-                total_ns: i,
-                path: PathAttribution::default(),
-            });
+    fn detail_ring_releases_the_oldest_reports_detail() {
+        let mut hp = plane(100);
+        let mut reports = FxHashMap::default();
+        for i in 0..=DETAIL_RING as u64 {
+            reports.insert(OpId(i), report(i, 100, vec![("fetch.meta_get", 0, 40)]));
+            hp.retain_detail(OpId(i), &mut reports);
         }
-        let worst = hp.worst_paths(10);
-        assert_eq!(worst.len(), 2, "ring honors the configured cap");
-        assert_eq!(worst[0].op, OpId(4));
+        let oldest = &reports[&OpId(0)];
+        assert!(
+            oldest.stages.is_empty(),
+            "past the ring, detail is released"
+        );
+        assert_eq!(oldest.critical_path.dht_ns, 40, "the bucket fold survives");
+        assert_eq!(reports[&OpId(1)].stages.len(), 1);
+        assert_eq!(hp.slowest(&reports, usize::MAX).len(), DETAIL_RING);
     }
 }

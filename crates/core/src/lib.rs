@@ -69,8 +69,8 @@ mod runtime;
 pub use adaptive::{AdaptivePlacement, EwmaRate, ObjectHeat, PeerBandwidth};
 pub use c4h_kvstore::Acl;
 pub use c4h_telemetry::{
-    ArgValue, CauseKind, DagEdge, EventRec, Histogram, InstantRec, LedgerEvent, OpLedger, Recorder,
-    Snapshot, SpanRec, LEDGER_NONE,
+    ArgValue, CauseKind, CriticalPath, DagEdge, EventRec, Histogram, InstantRec, LedgerEvent,
+    OpLedger, Recorder, Snapshot, SpanRec, LEDGER_NONE,
 };
 pub use config::{
     AdaptiveConfig, CloudSpec, Config, NodeId, NodeSpec, OverloadConfig, ServiceKind, TimingConfig,
@@ -82,5 +82,5 @@ pub use object::{synth_bytes, Blob, Object, SAMPLE_WINDOW};
 pub use ops::{ExecTarget, Placement};
 pub use overload::BreakerState;
 pub use policy::{adaptive_action, AdaptiveAction, PlacementClass, RoutePolicy, StorePolicy};
-pub use report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport, PathAttribution};
+pub use report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport};
 pub use runtime::{ChurnError, Cloud4Home, RunStats};

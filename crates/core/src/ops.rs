@@ -20,16 +20,15 @@ use c4h_kvstore::{
 use c4h_resources::Bin;
 use c4h_services::{ServiceDemand, ServiceId, ServiceOutput};
 use c4h_simnet::{Addr, FlowId, SimTime, Sym};
-use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, CauseKind, CriticalPath, LEDGER_NONE};
 
 use crate::config::{NodeId, ServiceKind};
 use crate::decision::{choose, estimate_exec, meets_minimum, Candidate, LOCATE_TIME};
 use crate::ec::ErasureCode;
-use crate::health::{attribute, PathRow};
 use crate::object::{Blob, Object, SAMPLE_WINDOW};
 use crate::overload::{shed_reason_code, AdmitDecision};
 use crate::policy::{PlacementClass, RoutePolicy, StorePolicy};
-use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport, PathAttribution};
+use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport};
 use crate::runtime::{
     ec_stripe_name, Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE,
 };
@@ -253,9 +252,9 @@ pub(crate) struct Op {
     /// Absolute recovery deadline; failovers past it fail with `Timeout`.
     pub(crate) deadline: SimTime,
     /// Sequential stage spans `(name, start_ns, end_ns)` recorded while
-    /// tracing or the causal ledger is on; the critical-path analyzer
-    /// buckets them at completion and the explain plane tiles them into
-    /// the op's DAG. Empty when both are disabled.
+    /// tracing or the causal ledger is on; moved into the op's report at
+    /// completion, where the explain plane tiles them into its DAG and
+    /// folds them into buckets. Empty when both are disabled.
     pub(crate) stage_log: Vec<(&'static str, u64, u64)>,
     /// Whether the overload plane rejected this op at admission. Shed ops
     /// never held a tenant slot and never enter the SLO windows.
@@ -920,20 +919,6 @@ impl Cloud4Home {
                 );
             }
         }
-        let mut critical = PathAttribution::default();
-        if self.telemetry.enabled() || self.ledger.enabled() {
-            // Critical-path attribution: bucket the recorded stage spans,
-            // with queueing/control time as the remainder. The ledger
-            // needs it too: `slowest` ranks ops by these rows.
-            critical = attribute(&op.stage_log, total_ns, op.via_cloud).into();
-            self.health.record_path(PathRow {
-                op: op.id,
-                kind: op.kind,
-                object: op.name,
-                total_ns,
-                path: critical,
-            });
-        }
         if self.telemetry.enabled() {
             let ok = outcome.is_ok();
             self.telemetry.span_args(
@@ -955,14 +940,6 @@ impl Cloud4Home {
             self.telemetry
                 .observe(format!("op.{}.total_ns", op.kind), total_ns);
 
-            self.stats.crit_dht_ns += critical.dht_ns;
-            self.stats.crit_disk_ns += critical.disk_ns;
-            self.stats.crit_lan_ns += critical.lan_ns;
-            self.stats.crit_wan_ns += critical.wan_ns;
-            self.stats.crit_service_ns += critical.service_ns;
-            self.stats.crit_backoff_ns += critical.backoff_ns;
-            self.stats.crit_other_ns += critical.other_ns;
-
             if let Some(breach) = breach {
                 let mut args = vec![
                     ("kind", ArgValue::from(op.kind)),
@@ -981,31 +958,6 @@ impl Cloud4Home {
                 );
                 self.telemetry.add(format!("slo.violation.{}", op.kind), 1);
             }
-
-            // Flight recorder: hard failures (deadline blown, every executor
-            // dead, owner gone) cut a post-mortem dump with recent context.
-            if let Err(e) = &outcome {
-                if matches!(
-                    e,
-                    OpError::Timeout(_) | OpError::ExecutorFailed(_) | OpError::OwnerUnreachable(_)
-                ) {
-                    let stages = op
-                        .stage_log
-                        .iter()
-                        .map(|(n, s, e)| ((*n).to_owned(), *s, *e))
-                        .collect();
-                    self.health.flight.record(
-                        now.as_nanos(),
-                        op.id.0,
-                        op.kind,
-                        op.name.as_str(),
-                        e.label(),
-                        op.submitted.as_nanos(),
-                        stages,
-                    );
-                    self.telemetry.add("health.postmortems", 1);
-                }
-            }
         }
         // Heat tracking: each successful fetch feeds the per-object rate
         // EWMA and reader history that the adaptive placement pass steers
@@ -1014,58 +966,74 @@ impl Cloud4Home {
             self.object_heat
                 .observe_fetch(op.name, op.client, now.as_nanos());
         }
-        // Explain plane: completed with the ledger on, the report carries
-        // its stage spans and causal chain so the critical-path DAG can be
-        // materialized after the fact. The per-op ring is consumed (moved,
-        // not copied) either way, so disabled runs leak nothing.
-        let mut stages: Vec<(String, u64, u64)> = Vec::new();
-        let mut ledger: Vec<CausalEvent> = Vec::new();
-        if self.ledger.enabled() {
-            stages = op
-                .stage_log
-                .iter()
-                .map(|(n, s, e)| ((*n).to_owned(), *s, *e))
-                .collect();
-            ledger = self
-                .ledger
+        // One causal source: with tracing or the ledger on, the op's stage
+        // log moves (not copies) into its report together with its causal
+        // chain, and every latency view — the bucket fold below, `top`,
+        // `slowest`, `explain`, post-mortems — reads it from there. The
+        // per-op ring is consumed either way, so disabled runs leak nothing.
+        let detail = self.telemetry.enabled() || self.ledger.enabled();
+        let ledger = if self.ledger.enabled() {
+            self.ledger
                 .finish(op.id.0)
                 .into_iter()
                 .map(CausalEvent::from)
-                .collect();
+                .collect()
         } else {
             self.ledger.discard(op.id.0);
-        }
-        let has_detail = !stages.is_empty() || !ledger.is_empty();
-        let report = OpReport {
+            Vec::new()
+        };
+        let mut report = OpReport {
             id: op.id,
             kind: op.kind,
             object: op.name,
             submitted: op.submitted,
-            completed: self.now(),
+            completed: now,
             breakdown: op.breakdown,
             retries: u32::from(op.retries),
             failovers: op.failovers,
             partial_replication: op.partial_replication,
-            critical_path: critical,
-            stages,
+            via_cloud: op.via_cloud,
+            critical_path: CriticalPath::default(),
+            stages: if detail {
+                std::mem::take(&mut op.stage_log)
+            } else {
+                Vec::new()
+            },
             ledger,
             outcome,
         };
-        self.reports.insert(op.id, report);
-        // The explain ring bounds how many completed reports keep full
-        // detail: past capacity, the oldest report's stages and chain are
-        // released (the report itself survives for its outcome and
-        // breakdown).
-        if has_detail {
-            self.explain_ring.push_back(op.id);
-            while self.explain_ring.len() > self.config.explain_ring {
-                if let Some(old) = self.explain_ring.pop_front() {
-                    if let Some(r) = self.reports.get_mut(&old) {
-                        r.stages = Vec::new();
-                        r.ledger = Vec::new();
-                    }
-                }
+        if detail {
+            report.critical_path = report.fold_critical_path();
+        }
+        if self.telemetry.enabled() {
+            let cp = &report.critical_path;
+            self.stats.crit_dht_ns += cp.dht_ns;
+            self.stats.crit_disk_ns += cp.disk_ns;
+            self.stats.crit_lan_ns += cp.lan_ns;
+            self.stats.crit_wan_ns += cp.wan_ns;
+            self.stats.crit_service_ns += cp.service_ns;
+            self.stats.crit_backoff_ns += cp.backoff_ns;
+            self.stats.crit_other_ns += cp.other_ns;
+            // Flight recorder: hard failures (deadline blown, every executor
+            // dead, owner gone) cut a post-mortem dump carrying the op's
+            // rendered DAG plus recent context.
+            if let Err(
+                e @ (OpError::Timeout(_)
+                | OpError::ExecutorFailed(_)
+                | OpError::OwnerUnreachable(_)),
+            ) = &report.outcome
+            {
+                self.health
+                    .flight
+                    .record(now.as_nanos(), op.id.0, e.label(), || {
+                        crate::explain::explain_json(&report)
+                    });
+                self.telemetry.add("health.postmortems", 1);
             }
+        }
+        self.reports.insert(op.id, report);
+        if detail {
+            self.health.retain_detail(op.id, &mut self.reports);
         }
     }
 

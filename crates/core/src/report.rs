@@ -137,73 +137,6 @@ impl From<DhtError> for OpError {
     }
 }
 
-/// Critical-path attribution of one operation's end-to-end latency: which
-/// kind of work the elapsed virtual time was spent on, bucketed by the
-/// health plane's analyzer. Buckets sum to [`OpReport::total`] (`other_ns`
-/// absorbs queueing/control time not covered by a recorded stage).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PathAttribution {
-    /// Nanoseconds on overlay lookups and metadata access.
-    pub dht_ns: u64,
-    /// Nanoseconds on local disk I/O.
-    pub disk_ns: u64,
-    /// Nanoseconds on home-network (LAN) transfers.
-    pub lan_ns: u64,
-    /// Nanoseconds on wide-area transfers and cloud requests.
-    pub wan_ns: u64,
-    /// Nanoseconds executing services.
-    pub service_ns: u64,
-    /// Nanoseconds waiting in retry back-off.
-    pub backoff_ns: u64,
-    /// Nanoseconds of queueing, command processing, and control.
-    pub other_ns: u64,
-}
-
-impl PathAttribution {
-    /// `(label, ns)` pairs in fixed bucket order.
-    pub fn buckets(&self) -> [(&'static str, u64); 7] {
-        [
-            ("dht", self.dht_ns),
-            ("disk", self.disk_ns),
-            ("lan", self.lan_ns),
-            ("wan", self.wan_ns),
-            ("service", self.service_ns),
-            ("backoff", self.backoff_ns),
-            ("other", self.other_ns),
-        ]
-    }
-
-    /// Sum over all buckets, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.buckets().iter().map(|&(_, ns)| ns).sum()
-    }
-
-    /// The bucket charged the most time (first in bucket order on ties).
-    pub fn dominant(&self) -> (&'static str, u64) {
-        let mut best = ("other", 0);
-        for (label, ns) in self.buckets() {
-            if ns > best.1 {
-                best = (label, ns);
-            }
-        }
-        best
-    }
-}
-
-impl From<CriticalPath> for PathAttribution {
-    fn from(cp: CriticalPath) -> Self {
-        PathAttribution {
-            dht_ns: cp.dht_ns,
-            disk_ns: cp.disk_ns,
-            lan_ns: cp.lan_ns,
-            wan_ns: cp.wan_ns,
-            service_ns: cp.service_ns,
-            backoff_ns: cp.backoff_ns,
-            other_ns: cp.other_ns,
-        }
-    }
-}
-
 /// One causal-ledger decision event attached to a completed report: a
 /// serialization-friendly copy of `c4h_telemetry::LedgerEvent` with the
 /// kind resolved to its stable label.
@@ -262,19 +195,25 @@ pub struct OpReport {
     /// with no substitute). Zero for fully replicated stores and for all
     /// other operation kinds.
     pub partial_replication: u32,
-    /// Where the operation's wall-clock time went, bucketed by the
-    /// critical-path analyzer. All-zero when tracing was disabled (stage
-    /// timings are only collected while the recorder is on).
+    /// Whether the remote cloud served or received the op's bytes. Set for
+    /// failed ops too: it decides which bucket `fetch.striped` spans charge.
+    pub via_cloud: bool,
+    /// Where the operation's virtual time went: the bucket fold of
+    /// [`OpReport::critical_dag`], taken at completion whenever tracing or
+    /// the causal ledger was on (buckets then sum to [`OpReport::total`]).
+    /// All-zero when both were off. Survives the release of `stages`.
     #[serde(default)]
-    pub critical_path: PathAttribution,
+    pub critical_path: CriticalPath,
     /// The op's completed stage spans as `(name, start_ns, end_ns)`,
-    /// sequential and non-overlapping. Populated only while the causal
-    /// ledger is enabled (the explain plane's DAG tiles these against the
-    /// op window); empty otherwise.
+    /// sequential and non-overlapping — the single record of where its
+    /// time went, moved out of the op at completion while tracing or the
+    /// causal ledger is on. Released (emptied) once the report leaves the
+    /// retained-detail ring; empty when both were off.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub stages: Vec<(String, u64, u64)>,
+    pub stages: Vec<(&'static str, u64, u64)>,
     /// The op's causal-ledger decision events, in `seq` order. Populated
-    /// only while the causal ledger is enabled; empty otherwise.
+    /// only while the causal ledger is enabled, and released with
+    /// `stages`; empty otherwise.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub ledger: Vec<CausalEvent>,
     /// Success output or failure.
@@ -329,7 +268,8 @@ mod tests {
             retries: 0,
             failovers: 0,
             partial_replication: 0,
-            critical_path: PathAttribution::default(),
+            via_cloud: false,
+            critical_path: CriticalPath::default(),
             stages: Vec::new(),
             ledger: Vec::new(),
             outcome: Ok(OpOutput {
@@ -358,7 +298,8 @@ mod tests {
             retries: 0,
             failovers: 1,
             partial_replication: 0,
-            critical_path: PathAttribution::default(),
+            via_cloud: false,
+            critical_path: CriticalPath::default(),
             stages: Vec::new(),
             ledger: Vec::new(),
             outcome: Err(OpError::NotFound("ghost".into())),
@@ -371,11 +312,28 @@ mod tests {
         let mut cp = CriticalPath::default();
         cp.add(c4h_telemetry::PathBucket::Wan, 700);
         cp.add(c4h_telemetry::PathBucket::Dht, 200);
-        let p: PathAttribution = cp.into();
+        let r = OpReport {
+            id: OpId(3),
+            kind: "fetch",
+            object: "x".into(),
+            submitted: SimTime::ZERO,
+            completed: SimTime::from_nanos(900),
+            breakdown: Breakdown::default(),
+            retries: 0,
+            failovers: 0,
+            partial_replication: 0,
+            via_cloud: true,
+            critical_path: cp,
+            stages: Vec::new(),
+            ledger: Vec::new(),
+            outcome: Err(OpError::Timeout("x".into())),
+        };
+        let p = &r.critical_path;
         assert_eq!(p.wan_ns, 700);
-        assert_eq!(p.total_ns(), 900);
+        assert_eq!(p.total(), 900);
+        assert_eq!(p.total(), r.total().as_nanos() as u64);
         assert_eq!(p.dominant(), ("wan", 700));
-        assert_eq!(PathAttribution::default().dominant(), ("other", 0));
+        assert_eq!(CriticalPath::default().dominant(), ("other", 0));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`OpReport`](crate::report::OpReport) carrying the Table-I-style cost
 //! breakdown.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -426,10 +426,6 @@ pub struct Cloud4Home {
     /// keys the shared background-plane ring. Inert (one relaxed atomic
     /// load per decision point) unless enabled.
     pub(crate) ledger: OpLedger,
-    /// Completed op ids still holding full explain detail (stage spans +
-    /// causal chain); bounded by `config.explain_ring` — past capacity the
-    /// oldest report's detail is released.
-    pub(crate) explain_ring: VecDeque<OpId>,
     tick_armed: bool,
     tick_horizon: SimTime,
 }
@@ -603,7 +599,6 @@ impl Cloud4Home {
             health: HealthPlane::new(&config),
             overload: OverloadPlane::new(&config),
             ledger: OpLedger::new(config.ledger_ring),
-            explain_ring: VecDeque::new(),
             tick_armed: false,
             tick_horizon: SimTime::ZERO,
             config,
@@ -829,8 +824,9 @@ impl Cloud4Home {
     }
 
     /// Serializes the flight recorder's post-mortem dumps — one JSON object
-    /// per hard operation failure, carrying the op's stage spans, recent
-    /// fault notes, and the last gauge samples before the failure.
+    /// per hard operation failure, carrying the op's critical-path DAG (as
+    /// [`Cloud4Home::explain_json`] renders it), recent fault notes, and
+    /// the last gauge samples before the failure.
     /// Deterministic for a given seed and workload.
     pub fn postmortem_json(&self) -> String {
         self.health.flight.dumps_json()
@@ -873,8 +869,9 @@ impl Cloud4Home {
     }
 
     /// A `top`-style snapshot: the latest gauge sample plus the slowest
-    /// recently completed operations with their dominant critical-path
-    /// bucket. Integer-only formatting, deterministic per seed.
+    /// operations in the retained-detail ring with their dominant
+    /// critical-path bucket. Integer-only formatting, deterministic per
+    /// seed.
     ///
     /// Takes a fresh gauge sample first (when recording is on and none was
     /// taken at the current instant), so the snapshot is always live.
@@ -900,20 +897,20 @@ impl Cloud4Home {
         for (name, v) in latest {
             out.push_str(&format!("{name} = {v}\n"));
         }
-        let worst = self.health.worst_paths(8);
+        let worst = self.health.slowest(&self.reports, 8);
         if !worst.is_empty() {
             out.push_str("slowest ops:\n");
-            for row in worst {
-                let (bucket, ns) = row.path.dominant();
-                out.push_str(&format!(
-                    "{} {} {} total={} ms dominant={bucket} ({} ms)\n",
-                    row.op,
-                    row.kind,
-                    row.object,
-                    row.total_ns / 1_000_000,
-                    ns / 1_000_000,
-                ));
-            }
+        }
+        for r in worst {
+            let (bucket, ns) = r.critical_path.dominant();
+            out.push_str(&format!(
+                "{} {} {} total={} ms dominant={bucket} ({} ms)\n",
+                r.id,
+                r.kind,
+                r.object,
+                r.total().as_millis(),
+                ns / 1_000_000,
+            ));
         }
         out
     }
@@ -1008,8 +1005,9 @@ impl Cloud4Home {
     /// edge with its offset, duration, and latency bucket, the causal
     /// decisions that fell inside it, the full ledger chain, and the
     /// exact-sum invariant restated with real numbers. Integer-only
-    /// formatting, deterministic per seed. Reports completed with the
-    /// ledger off render a one-line fallback.
+    /// formatting, deterministic per seed. Reports completed with tracing
+    /// and the ledger off, or released from the retained-detail ring,
+    /// render a one-line fallback.
     pub fn explain_text(&self, op: OpId) -> String {
         match self.reports.get(&op) {
             Some(report) => crate::explain::explain_text(report),
@@ -1024,9 +1022,9 @@ impl Cloud4Home {
         self.reports.get(&op).map(crate::explain::explain_json)
     }
 
-    /// One summary line for each of the `n` slowest recently completed
-    /// operations (the health plane's sliding window), with the dominant
-    /// critical-path edge when the op completed under the ledger.
+    /// One summary line for each of the `n` slowest operations in the
+    /// retained-detail ring (the last 128 completed while tracing or the
+    /// ledger was on), with the dominant bucket of each critical path.
     /// Integer-only formatting, deterministic per seed.
     pub fn slowest_text(&self, n: usize) -> String {
         let mut out = String::new();
@@ -1034,22 +1032,13 @@ impl Cloud4Home {
             "slowest @ {} ms\n",
             self.now().as_nanos() / 1_000_000
         ));
-        let worst = self.health.worst_paths(n);
+        let worst = self.health.slowest(&self.reports, n);
         if worst.is_empty() {
-            out.push_str("no completed operations in the window\n");
-            return out;
+            out.push_str("no retained operations (run with tracing or the ledger on)\n");
         }
-        for row in worst {
-            match self.reports.get(&row.op) {
-                Some(report) => {
-                    out.push_str(&crate::explain::summary_line(report));
-                    out.push('\n');
-                }
-                None => out.push_str(&format!(
-                    "{} {} object={} latency={}ns (report evicted)\n",
-                    row.op, row.kind, row.object, row.total_ns,
-                )),
-            }
+        for report in worst {
+            out.push_str(&crate::explain::summary_line(report));
+            out.push('\n');
         }
         out
     }

@@ -1,5 +1,5 @@
 //! Health-plane primitives: sliding latency windows, critical-path
-//! accumulation, and the post-mortem flight recorder.
+//! buckets, and the post-mortem flight recorder.
 //!
 //! Everything here is deterministic integer math on the virtual clock. The
 //! types are substrate: the runtime decides *when* to observe and *what*
@@ -120,9 +120,10 @@ impl PathBucket {
     }
 }
 
-/// Wall-clock attribution of one operation's end-to-end latency across
-/// [`PathBucket`]s. Bucket sums are arranged by the caller to equal the
-/// op's total duration (`Other` absorbs the unattributed remainder).
+/// Attribution of one operation's end-to-end virtual latency across
+/// [`PathBucket`]s — the fold of its critical-path DAG (see
+/// [`fold_critical_path`](crate::fold_critical_path)), so bucket sums equal
+/// the op's total duration (`Other` absorbs the wait edges).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Nanoseconds attributed to DHT / metadata work.
@@ -199,16 +200,12 @@ pub struct Postmortem {
     pub ts_ns: TimeNs,
     /// Failing operation's id.
     pub op_id: u64,
-    /// Operation kind (`"store"`, `"fetch"`, …).
-    pub kind: String,
-    /// Object name the operation targeted.
-    pub object: String,
     /// Error label, e.g. `"Timeout"`.
     pub error: String,
-    /// Virtual time the operation was submitted.
-    pub submitted_ns: TimeNs,
-    /// The op's completed stages as `(name, start_ns, end_ns)`.
-    pub stages: Vec<(String, TimeNs, TimeNs)>,
+    /// The failed op's critical-path DAG — kind, object, window, edges
+    /// with their buckets, and causal chain — as one JSON object, rendered
+    /// by the runtime's explain plane.
+    pub explain: String,
     /// Recent fault events as `(ts_ns, description)`, oldest first.
     pub faults: Vec<(TimeNs, String)>,
     /// Recent gauge sample rows, oldest first: each row is the sample's
@@ -225,28 +222,13 @@ impl Postmortem {
         crate::export::escape_into(&mut out, &self.id);
         let _ = write!(
             out,
-            "\",\"ts_ns\":{},\"op\":{},\"kind\":\"",
+            "\",\"ts_ns\":{},\"op\":{},\"error\":\"",
             self.ts_ns, self.op_id
         );
-        crate::export::escape_into(&mut out, &self.kind);
-        out.push_str("\",\"object\":\"");
-        crate::export::escape_into(&mut out, &self.object);
-        out.push_str("\",\"error\":\"");
         crate::export::escape_into(&mut out, &self.error);
-        let _ = write!(
-            out,
-            "\",\"submitted_ns\":{},\"stages\":[",
-            self.submitted_ns
-        );
-        for (i, (name, s, e)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            crate::export::escape_into(&mut out, name);
-            let _ = write!(out, "\",{s},{e}]");
-        }
-        out.push_str("],\"faults\":[");
+        out.push_str("\",\"explain\":");
+        out.push_str(self.explain.trim_end());
+        out.push_str(",\"faults\":[");
         for (i, (ts, desc)) in self.faults.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -328,18 +310,16 @@ impl FlightRecorder {
         self.gauges.push_back((ts_ns, row));
     }
 
-    /// Cuts a post-mortem dump for a failed op, attaching the current fault
-    /// and gauge rings. Dumps beyond the cap are counted, not stored.
-    #[allow(clippy::too_many_arguments)]
+    /// Cuts a post-mortem dump for a failed op, attaching its rendered
+    /// critical-path DAG (`explain` yields one JSON object) and the current
+    /// fault and gauge rings. Dumps beyond the cap are counted, not stored
+    /// (nor rendered).
     pub fn record(
         &mut self,
         ts_ns: TimeNs,
         op_id: u64,
-        kind: &str,
-        object: &str,
         error: &str,
-        submitted_ns: TimeNs,
-        stages: Vec<(String, TimeNs, TimeNs)>,
+        explain: impl FnOnce() -> String,
     ) {
         if self.dumps.len() >= self.dump_cap {
             self.dropped += 1;
@@ -355,11 +335,8 @@ impl FlightRecorder {
             id: format!("pm-{ts_ns}-{seq}"),
             ts_ns,
             op_id,
-            kind: kind.to_owned(),
-            object: object.to_owned(),
             error: error.to_owned(),
-            submitted_ns,
-            stages,
+            explain: explain(),
             faults: self.faults.iter().cloned().collect(),
             gauges: self.gauges.iter().cloned().collect(),
         });
@@ -434,6 +411,7 @@ mod tests {
         assert_eq!(p.total(), 1000);
         assert_eq!(p.dominant(), ("wan", 700));
         assert_eq!(PathBucket::Backoff.label(), "backoff");
+        assert_eq!(CriticalPath::default().dominant(), ("other", 0));
     }
 
     #[test]
@@ -443,15 +421,17 @@ mod tests {
             fr.note_fault(i, format!("fault{i}"));
             fr.note_gauges(i, vec![("g".into(), i as i64)]);
         }
-        fr.record(9, 1, "fetch", "obj", "Timeout", 0, vec![("s".into(), 0, 9)]);
-        fr.record(10, 2, "fetch", "obj", "Timeout", 0, vec![]);
+        fr.record(9, 1, "Timeout", || "{\"op\":1}\n".into());
+        fr.record(10, 2, "Timeout", || {
+            unreachable!("dropped dumps are not rendered")
+        });
         assert_eq!(fr.dumps().len(), 1);
         assert_eq!(fr.dropped(), 1);
         let d = &fr.dumps()[0];
         assert_eq!(d.faults, vec![(3, "fault3".into()), (4, "fault4".into())]);
         assert_eq!(d.gauges.len(), 2);
         let json = fr.dumps_json();
-        assert!(json.contains("\"error\":\"Timeout\""));
+        assert!(json.contains("\"error\":\"Timeout\",\"explain\":{\"op\":1},\"faults\""));
         assert!(json.starts_with("[\n{\"id\":\"pm-9-0\",\"ts_ns\":9"));
     }
 
@@ -460,10 +440,10 @@ mod tests {
         // Regression: two ops timing out at the same virtual instant used
         // to collide on a timestamp-only post-mortem id.
         let mut fr = FlightRecorder::new(2, 2, 8);
-        fr.record(100, 1, "fetch", "a", "Timeout", 0, vec![]);
-        fr.record(100, 2, "fetch", "b", "Timeout", 0, vec![]);
-        fr.record(100, 3, "store", "c", "Timeout", 0, vec![]);
-        fr.record(250, 4, "fetch", "d", "Timeout", 0, vec![]);
+        fr.record(100, 1, "Timeout", String::new);
+        fr.record(100, 2, "Timeout", String::new);
+        fr.record(100, 3, "Timeout", String::new);
+        fr.record(250, 4, "Timeout", String::new);
         let ids: Vec<&str> = fr.dumps().iter().map(|d| d.id.as_str()).collect();
         assert_eq!(ids, vec!["pm-100-0", "pm-100-1", "pm-100-2", "pm-250-0"]);
         let mut uniq = ids.clone();
@@ -478,17 +458,16 @@ mod tests {
             id: "pm-5-0".into(),
             ts_ns: 5,
             op_id: 3,
-            kind: "store".into(),
-            object: "a\"b".into(),
-            error: "NoSpace".into(),
-            submitted_ns: 1,
-            stages: vec![("store.disk_write".into(), 1, 4)],
+            error: "No\"Space".into(),
+            explain: "{\"op\":3,\"edges\":[{\"label\":\"store.disk_write\"}]}\n".into(),
             faults: vec![(2, "crash node4".into())],
             gauges: vec![(3, vec![("cpu".into(), 250)])],
         };
         assert_eq!(d.to_json(), d.clone().to_json());
-        assert!(d.to_json().contains("\"object\":\"a\\\"b\""));
-        assert!(d.to_json().contains("[\"store.disk_write\",1,4]"));
+        assert!(d.to_json().contains("\"error\":\"No\\\"Space\""));
+        assert!(d
+            .to_json()
+            .contains("\"explain\":{\"op\":3,\"edges\":[{\"label\":\"store.disk_write\"}]},"));
         assert!(d.to_json().contains("[3,{\"cpu\":250}]"));
     }
 }

@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::TimeNs;
+use crate::{CriticalPath, PathBucket, TimeNs};
 
 /// The null ledger reference: "no cause" / "nothing recorded".
 pub const LEDGER_NONE: u32 = 0;
@@ -330,7 +330,7 @@ impl OpLedger {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagEdge {
     /// Stage name, or `"wait"` for a gap edge.
-    pub label: String,
+    pub label: &'static str,
     /// Edge start, absolute virtual time.
     pub start_ns: TimeNs,
     /// Edge end, absolute virtual time.
@@ -349,42 +349,57 @@ impl DagEdge {
     }
 }
 
+/// The one tiling walk both views share: visits the non-empty edges that
+/// tile `[start_ns, end_ns]` in order, as `(stage label or None for a wait
+/// gap, start, end)`. `stages` must be sorted by start and non-overlapping
+/// (the runtime's sequential stage log is both by construction); spans
+/// outside the window are clamped into it.
+fn walk_tiling(
+    start_ns: TimeNs,
+    end_ns: TimeNs,
+    stages: &[(&'static str, TimeNs, TimeNs)],
+    mut visit: impl FnMut(Option<&'static str>, TimeNs, TimeNs),
+) {
+    let mut cursor = start_ns;
+    for &(label, s, e) in stages {
+        let s = s.clamp(cursor, end_ns);
+        let e = e.clamp(cursor, end_ns);
+        if s > cursor {
+            visit(None, cursor, s);
+        }
+        if e > s {
+            visit(Some(label), s, e);
+        }
+        cursor = cursor.max(e);
+    }
+    if end_ns > cursor {
+        visit(None, cursor, end_ns);
+    }
+}
+
 /// Tiles the window `[start_ns, end_ns]` with the recorded stage spans and
 /// the gaps between them, producing the op's critical path as an edge
 /// sequence whose durations sum to **exactly** `end_ns - start_ns` — the
-/// exact-sum invariant the explain plane is built on. `stages` must be
-/// sorted by start and non-overlapping (the runtime's sequential stage log
-/// is both by construction); spans outside the window are clamped into it.
-/// Ledger events are attached to the edge covering their timestamp; they
-/// arrive as `(seq, ts_ns)` pairs so callers can feed either live
-/// [`LedgerEvent`]s or serialized report copies.
-pub fn tile_critical_path<S: AsRef<str>>(
+/// exact-sum invariant the explain plane is built on. Ledger events are
+/// attached to the edge covering their timestamp; they arrive as
+/// `(seq, ts_ns)` pairs so callers can feed either live [`LedgerEvent`]s or
+/// serialized report copies.
+pub fn tile_critical_path(
     start_ns: TimeNs,
     end_ns: TimeNs,
-    stages: &[(S, TimeNs, TimeNs)],
+    stages: &[(&'static str, TimeNs, TimeNs)],
     events: &[(u32, TimeNs)],
 ) -> Vec<DagEdge> {
     let mut edges = Vec::new();
-    let mut cursor = start_ns;
-    let push = |edges: &mut Vec<DagEdge>, label: &str, s, e, wait| {
-        if e > s {
-            edges.push(DagEdge {
-                label: label.to_owned(),
-                start_ns: s,
-                end_ns: e,
-                wait,
-                causes: Vec::new(),
-            });
-        }
-    };
-    for (name, s, e) in stages {
-        let s = (*s).clamp(cursor, end_ns);
-        let e = (*e).clamp(cursor, end_ns);
-        push(&mut edges, "wait", cursor, s, true);
-        push(&mut edges, name.as_ref(), s, e, false);
-        cursor = cursor.max(e);
-    }
-    push(&mut edges, "wait", cursor, end_ns, true);
+    walk_tiling(start_ns, end_ns, stages, |label, s, e| {
+        edges.push(DagEdge {
+            label: label.unwrap_or("wait"),
+            start_ns: s,
+            end_ns: e,
+            wait: label.is_none(),
+            causes: Vec::new(),
+        });
+    });
     // Attach each event to the edge covering its instant. Events land on
     // half-open edges so a decision made at a boundary annotates the edge
     // it *opens* (a backoff decision annotates the wait it starts).
@@ -399,6 +414,23 @@ pub fn tile_critical_path<S: AsRef<str>>(
         }
     }
     edges
+}
+
+/// Folds the same tiling [`tile_critical_path`] walks into per-bucket
+/// sums without materializing edges: a stage edge charges `bucket(label)`,
+/// a wait edge charges [`PathBucket::Other`]. The buckets therefore sum to
+/// exactly `end_ns - start_ns`.
+pub fn fold_critical_path(
+    start_ns: TimeNs,
+    end_ns: TimeNs,
+    stages: &[(&'static str, TimeNs, TimeNs)],
+    bucket: impl Fn(&str) -> PathBucket,
+) -> CriticalPath {
+    let mut path = CriticalPath::default();
+    walk_tiling(start_ns, end_ns, stages, |label, s, e| {
+        path.add(label.map_or(PathBucket::Other, &bucket), e - s);
+    });
+    path
 }
 
 #[cfg(test)]
@@ -494,7 +526,7 @@ mod tests {
         let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
         assert_eq!(sum, 900, "edges must tile the window exactly");
         // wait, stage, stage, wait, stage, wait
-        let labels: Vec<&str> = edges.iter().map(|e| e.label.as_str()).collect();
+        let labels: Vec<&str> = edges.iter().map(|e| e.label).collect();
         assert_eq!(
             labels,
             vec![
@@ -516,8 +548,8 @@ mod tests {
 
     #[test]
     fn tile_handles_empty_and_degenerate_windows() {
-        assert!(tile_critical_path::<&str>(5, 5, &[], &[]).is_empty());
-        let edges = tile_critical_path::<&str>(0, 100, &[], &[]);
+        assert!(tile_critical_path(5, 5, &[], &[]).is_empty());
+        let edges = tile_critical_path(0, 100, &[], &[]);
         assert_eq!(edges.len(), 1);
         assert!(edges[0].wait);
         assert_eq!(edges[0].dur_ns(), 100);
@@ -526,5 +558,55 @@ mod tests {
         let edges = tile_critical_path(0, 100, &stages, &[]);
         let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
         assert_eq!(sum, 100);
+    }
+
+    /// Buckets by stage-name prefix, so the property covers several
+    /// buckets (and an unknown stage that charges `Other`).
+    fn by_prefix(label: &str) -> PathBucket {
+        match label.split('.').next() {
+            Some("dht") => PathBucket::Dht,
+            Some("disk") => PathBucket::Disk,
+            Some("lan") => PathBucket::Lan,
+            Some("wan") => PathBucket::Wan,
+            _ => PathBucket::Other,
+        }
+    }
+
+    const LABELS: [&str; 5] = ["dht.get", "disk.read", "lan.flow", "wan.flow", "exec"];
+
+    proptest::proptest! {
+        /// For any sorted, non-overlapping stage log inside the window, the
+        /// per-bucket fold equals the per-stage duration sums, `Other`
+        /// absorbs exactly the gaps (plus stages that map to it), and the
+        /// buckets total the window.
+        #[test]
+        fn fold_matches_stage_sums_for_sequential_logs(
+            start in 0u64..1_000_000,
+            spans in proptest::collection::vec((0u64..5_000, 0u64..5_000, 0usize..5), 0..24),
+            tail in 0u64..5_000,
+        ) {
+            let mut stages: Vec<(&'static str, u64, u64)> = Vec::new();
+            let mut cursor = start;
+            let mut gaps = 0u64;
+            for &(gap, dur, label) in &spans {
+                gaps += gap;
+                let s = cursor + gap;
+                stages.push((LABELS[label], s, s + dur));
+                cursor = s + dur;
+            }
+            gaps += tail;
+            let end = cursor + tail;
+            let cp = fold_critical_path(start, end, &stages, by_prefix);
+            let mut want = CriticalPath::default();
+            for &(label, s, e) in &stages {
+                want.add(by_prefix(label), e - s);
+            }
+            want.add(PathBucket::Other, gaps);
+            proptest::prop_assert_eq!(cp, want);
+            proptest::prop_assert_eq!(cp.total(), end - start);
+            let edges = tile_critical_path(start, end, &stages, &[]);
+            let edge_sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
+            proptest::prop_assert_eq!(edge_sum, end - start);
+        }
     }
 }

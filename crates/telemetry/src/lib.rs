@@ -64,7 +64,9 @@ mod series;
 
 pub use dispatch::{add, install, observe, with, DispatchGuard};
 pub use health::{CriticalPath, FlightRecorder, PathBucket, Postmortem, SlidingHistogram};
-pub use ledger::{tile_critical_path, CauseKind, DagEdge, LedgerEvent, OpLedger, LEDGER_NONE};
+pub use ledger::{
+    fold_critical_path, tile_critical_path, CauseKind, DagEdge, LedgerEvent, OpLedger, LEDGER_NONE,
+};
 pub use recorder::{
     ArgValue, Args, EventRec, Histogram, InstantRec, Recorder, Snapshot, SpanId, SpanRec,
 };

@@ -336,3 +336,55 @@ fn tiny_ring_eviction_preserves_live_chains() {
     assert_exact_sum(&report);
     assert_chain_closed(&report);
 }
+
+/// The dominant-bucket token of the line `text` prints for `report`.
+fn dominant_in(text: &str, report: &OpReport) -> String {
+    let prefix = format!("{} {} ", report.id, report.kind);
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no line for {}:\n{text}", report.id));
+    line.split("dominant=")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no dominant bucket in {line:?}"))
+        .to_owned()
+}
+
+#[test]
+fn traced_wan_fetch_agrees_across_views_without_the_ledger() {
+    // Tracing on, ledger off: every latency view must still read the same
+    // causal source — the report's stage log — and agree on where a
+    // WAN-bound cloud fetch spent its time.
+    let mut config = Config::paper_testbed(312);
+    config.tracing = true;
+    let mut home = Cloud4Home::new(config);
+    assert!(!home.ledger_enabled());
+    let obj = Object::synthetic("cloud/archive.bin", 9, 4 << 20, "doc");
+    let op = home.store_object(NodeId(0), obj, StorePolicy::ForceCloud, true);
+    home.run_until_complete(op).expect_ok();
+    let op = home.fetch_object(NodeId(1), "cloud/archive.bin");
+    let report = home.run_until_complete(op);
+    assert!(report.expect_ok().via_cloud, "the bytes live in the cloud");
+
+    let (bucket, ns) = report.critical_path.dominant();
+    assert_eq!(bucket, "wan", "{report:?}");
+    assert!(ns > report.total().as_nanos() as u64 / 2);
+    assert_eq!(dominant_in(&home.slowest_text(8), &report), bucket);
+    assert_eq!(dominant_in(&home.top_text(), &report), bucket);
+
+    // `explain` renders the DAG's edges, not the no-data fallback, and the
+    // fold over those edges is the report's bucket split.
+    let text = home.explain_text(report.id);
+    assert!(!text.contains("no causal data"), "{text}");
+    assert!(text.contains("[wan]"), "{text}");
+    assert!(text.contains("(ok)"), "{text}");
+    assert_exact_sum(&report);
+    let wan_edges: u64 = report
+        .critical_dag()
+        .iter()
+        .filter(|e| !e.wait && text.contains(&format!("{} [wan]", e.label)))
+        .map(|e| e.dur_ns())
+        .sum();
+    assert_eq!(wan_edges, report.critical_path.wan_ns);
+}

@@ -214,6 +214,16 @@ fn corpus() -> BTreeMap<String, String> {
         run_cell("overload-s11", config, None),
     );
 
+    // Causal ledger on: pins the explain plane's completion path (stage
+    // log moved into the report, bucket fold, retained-detail ring) and
+    // the ledger-gated engine gauges and exemplars.
+    let mut config = base(11);
+    config.ledger = true;
+    cells.insert(
+        "ledger-s11".to_owned(),
+        run_cell("ledger-s11", config, None),
+    );
+
     cells
 }
 

@@ -127,7 +127,7 @@ fn wan_bound_fetch_attributes_its_latency_to_the_wan() {
     // The bucket sums account for the whole operation, exactly.
     let total_ns = report.total().as_nanos() as u64;
     assert_eq!(
-        report.critical_path.total_ns(),
+        report.critical_path.total(),
         total_ns,
         "critical-path buckets must sum to the op duration"
     );
@@ -242,9 +242,12 @@ fn health_exports_are_byte_identical_across_same_seed_chaos_runs() {
     let (pm_a, pm_b) = (a.postmortem_json(), b.postmortem_json());
     assert!(pm_a == pm_b, "post-mortem dumps differ between runs");
 
-    // The post-mortem is non-vacuous and carries its context sections.
+    // The post-mortem is non-vacuous and carries the failed op's DAG and
+    // its context sections.
     for needle in [
         "\"error\":\"",
+        "\"explain\":{\"op\":",
+        "\"edges\":[{\"label\":",
         "\"kind\":\"fetch\"",
         "\"object\":\"doomed/evidence.bin\"",
         "\"faults\":[",
