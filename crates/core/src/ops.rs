@@ -843,6 +843,17 @@ impl Cloud4Home {
         }
     }
 
+    /// Fails an operation whose client crashed with a DHT request
+    /// outstanding or about to be issued, as [`Self::transfer_failed`]
+    /// does for a severed transfer: nobody is left to recover for.
+    pub(crate) fn client_lost(&mut self, id: OpId) {
+        let Some(op) = self.ops.remove(&id) else {
+            return;
+        };
+        let why = format!("client {} crashed", self.nodes[op.client].name);
+        self.complete_op(op, Err(OpError::OwnerUnreachable(why)));
+    }
+
     pub(crate) fn op_continue(&mut self, id: OpId, input: OpInput) {
         let Some(mut op) = self.ops.remove(&id) else {
             return;

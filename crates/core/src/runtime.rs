@@ -130,6 +130,10 @@ pub(crate) enum Event {
     /// predicted time). Routed through the queue so the waiter is continued
     /// at the same instant but outside the current operation's step.
     FlowReap { flow: FlowId },
+    /// An operation tried to issue a DHT request from its crashed client.
+    /// Routed through the queue because the op is mid-step; it fails at
+    /// the same instant.
+    ClientLost { op: OpId },
 }
 
 /// Who is waiting on a DHT request.
@@ -1459,6 +1463,22 @@ impl Cloud4Home {
         }
         let why = format!("transfer peer {} crashed", self.nodes[id.0].name);
         self.abort_flows(|src, dst| src == addr || dst == addr, &why);
+        // A dead node's overlay is never ticked or delivered to, so the DHT
+        // requests it issued can neither complete nor time out: fail the
+        // ops waiting on them. Sorted, since `dht_waiters` is a HashMap.
+        let mut orphaned: Vec<(ReqId, OpId)> = self
+            .dht_waiters
+            .iter()
+            .filter_map(|(&(i, req), w)| match w {
+                DhtWaiter::Op(op) if i == id.0 => Some((req, *op)),
+                _ => None,
+            })
+            .collect();
+        orphaned.sort_unstable();
+        for (req, op) in orphaned {
+            self.dht_waiters.remove(&(id.0, req));
+            self.client_lost(op);
+        }
         // A rejoined instance starts cold: bandwidth observed before the
         // crash says nothing about the machine that comes back, so the
         // EWMA entry reverts to the prior instead of ranking the ghost.
@@ -1975,6 +1995,7 @@ impl Cloud4Home {
             Event::DhtDone { op, ev } => self.op_continue(op, OpInput::Dht(ev)),
             Event::Fault(ev) => self.apply_fault(ev),
             Event::FlowReap { flow } => self.reap_flow(flow),
+            Event::ClientLost { op } => self.client_lost(op),
             Event::HealthSample => {
                 self.health.armed = false;
                 if self.telemetry.enabled() && !self.health.sample_period.is_zero() {
@@ -2249,39 +2270,45 @@ impl Cloud4Home {
 
     /// Issues a DHT get from node `i` on behalf of an operation.
     pub(crate) fn dht_get_for_op(&mut self, op: OpId, i: usize, key: Key) {
-        let now = self.now();
-        let req = self.nodes[i].chimera.get(key, now).expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_for_op(op, i, |node, now| node.get(key, now));
     }
 
     /// Issues a DHT put from node `i` on behalf of an operation.
     pub(crate) fn dht_put_for_op(&mut self, op: OpId, i: usize, key: Key, value: Vec<u8>) {
-        let now = self.now();
-        let req = self.nodes[i]
-            .chimera
-            .put(key, value, OverwritePolicy::Overwrite, now)
-            .expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_for_op(op, i, |node, now| {
+            node.put(key, value, OverwritePolicy::Overwrite, now)
+        });
     }
 
     /// Issues a chained DHT put (the `Chain` overwrite policy) from node
     /// `i` on behalf of an operation — used for directory entry chains.
     pub(crate) fn dht_chain_for_op(&mut self, op: OpId, i: usize, key: Key, value: Vec<u8>) {
-        let now = self.now();
-        let req = self.nodes[i]
-            .chimera
-            .put(key, value, OverwritePolicy::Chain, now)
-            .expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_for_op(op, i, |node, now| {
+            node.put(key, value, OverwritePolicy::Chain, now)
+        });
     }
 
     /// Issues a DHT delete from node `i` on behalf of an operation.
     pub(crate) fn dht_delete_for_op(&mut self, op: OpId, i: usize, key: Key) {
+        self.dht_for_op(op, i, |node, now| node.delete(key, now));
+    }
+
+    /// Issues one DHT request from node `i` and parks the operation on it.
+    /// A crashed node's request would never resolve, so the operation is
+    /// failed instead (through the queue: it is mid-step here).
+    fn dht_for_op<E: std::fmt::Debug>(
+        &mut self,
+        op: OpId,
+        i: usize,
+        issue: impl FnOnce(&mut ChimeraNode, SimTime) -> Result<ReqId, E>,
+    ) {
+        if !self.nodes[i].alive {
+            self.queue
+                .schedule_in(Duration::ZERO, Event::ClientLost { op });
+            return;
+        }
         let now = self.now();
-        let req = self.nodes[i]
-            .chimera
-            .delete(key, now)
-            .expect("node is joined");
+        let req = issue(&mut self.nodes[i].chimera, now).expect("node is joined");
         self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
     }
 

@@ -425,3 +425,40 @@ fn chaos_run() -> (u32, u32, String) {
     }
     (ok, failed, format!("{:?}", home.stats()))
 }
+
+/// An op whose own client crashes must still terminate. Every DHT request
+/// an op makes is issued from its client, and a dead node's overlay is
+/// never ticked or delivered to, so without an explicit failure the op
+/// would wait forever. Each probe runs a bounded span of virtual time and
+/// then demands a report.
+#[test]
+fn op_whose_client_crashes_terminates() {
+    for kind in ["fetch", "store", "delete", "list"] {
+        for delay_ms in [0, 10, 20, 40] {
+            let mut home = testbed(11);
+            let obj = Object::synthetic("a/x.bin", 1, 256 << 10, "doc");
+            let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+            home.run_until_complete(op).expect_ok();
+
+            let client = NodeId(2);
+            let op = match kind {
+                "fetch" => home.fetch_object(client, "a/x.bin"),
+                "store" => home.store_object(
+                    client,
+                    Object::synthetic("a/y.bin", 2, 256 << 10, "doc"),
+                    StorePolicy::ForceHome,
+                    true,
+                ),
+                "delete" => home.delete_object(client, "a/x.bin"),
+                _ => home.list_objects(client, "a"),
+            };
+            home.run_for(Duration::from_millis(delay_ms));
+            home.crash_node(client);
+            home.run_for(Duration::from_secs(300));
+            assert!(
+                home.take_report(op).is_some(),
+                "{kind} crashed {delay_ms} ms in never terminated"
+            );
+        }
+    }
+}

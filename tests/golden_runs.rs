@@ -61,8 +61,9 @@ fn live_client(home: &Cloud4Home, preferred: usize) -> NodeId {
 
 /// The scripted workload every cell runs: stores from rotating clients
 /// (two policies), fetches from different clients, a directory list, one
-/// service invocation, and a delete — then drain to idle.
-fn drive(home: &mut Cloud4Home, label: &str) -> String {
+/// service invocation, and a delete — then `settle` more virtual time (if
+/// any) for background planes to act, and drain to idle.
+fn drive(home: &mut Cloud4Home, label: &str, settle: Duration) -> String {
     let mut transcript = format!("cell={label}\n");
     let mut names = Vec::new();
     for i in 0..6u64 {
@@ -101,43 +102,58 @@ fn drive(home: &mut Cloud4Home, label: &str) -> String {
     let op = home.delete_object(live_client(home, 5), &names[5]);
     let report = home.run_until_complete(op);
     let _ = writeln!(transcript, "delete -> {:?}", report.outcome);
+    if !settle.is_zero() {
+        home.run_for(settle);
+    }
     home.run_until_idle();
     transcript
 }
 
-/// Runs one cell and folds every observable surface into its digest.
-fn run_cell(label: &str, config: Config, plan: Option<FaultPlan>) -> String {
+/// One run of a cell: its full observable transcript, and the deployment
+/// it leaves behind for the cell's own assertions.
+fn run_once(
+    label: &str,
+    config: Config,
+    plan: Option<FaultPlan>,
+    settle: Duration,
+) -> (String, Cloud4Home) {
     // Chaos perturbs placement enough that a fixed script can dead-end;
     // every cell keeps the same script and simply records outcomes.
-    let mut home = Cloud4Home::new(config.clone());
-    if let Some(plan) = plan.clone() {
+    let mut home = Cloud4Home::new(config);
+    if let Some(plan) = plan {
         home.inject_faults(plan);
     }
-    let mut transcript = drive(&mut home, label);
+    let mut transcript = drive(&mut home, label, settle);
     let _ = writeln!(transcript, "now_ns={}", home.now().as_nanos());
     let _ = writeln!(transcript, "stats={:?}", home.stats());
     transcript.push_str(&home.metrics_json());
     transcript.push_str(&home.prometheus_text());
+    (transcript, home)
+}
+
+/// Runs one cell twice and folds every observable surface into its
+/// digest, handing back the first run's deployment.
+fn run_cell_settled(
+    label: &str,
+    config: Config,
+    plan: Option<FaultPlan>,
+    settle: Duration,
+) -> (String, Cloud4Home) {
+    let (transcript, home) = run_once(label, config.clone(), plan.clone(), settle);
     // Belt and braces: the digest must also be reproducible within this
     // process — catches map-iteration-order dependence immediately rather
     // than as a cross-machine mystery.
-    let again = {
-        let mut home = Cloud4Home::new(config.clone());
-        if let Some(plan) = plan {
-            home.inject_faults(plan);
-        }
-        let mut t = drive(&mut home, label);
-        let _ = writeln!(t, "now_ns={}", home.now().as_nanos());
-        let _ = writeln!(t, "stats={:?}", home.stats());
-        t.push_str(&home.metrics_json());
-        t.push_str(&home.prometheus_text());
-        t
-    };
+    let (again, _) = run_once(label, config, plan, settle);
     assert!(
         transcript == again,
         "cell {label} is not self-deterministic (two in-process runs differ)"
     );
-    format!("{:016x}", fnv64(transcript.as_bytes()))
+    (format!("{:016x}", fnv64(transcript.as_bytes())), home)
+}
+
+/// Runs one cell with no settling time (see [`run_cell_settled`]).
+fn run_cell(label: &str, config: Config, plan: Option<FaultPlan>) -> String {
+    run_cell_settled(label, config, plan, Duration::ZERO).0
 }
 
 /// A plan exercising crash, partition, bursty loss, and heal.
@@ -223,6 +239,31 @@ fn corpus() -> BTreeMap<String, String> {
         "ledger-s11".to_owned(),
         run_cell("ledger-s11", config, None),
     );
+
+    // Adaptive placement with erasure coding under chaos: pins every kind
+    // of background transfer (repair, EC conversion and rebuild) and how
+    // crashes and partitions abort them. Lowered thresholds and a settling
+    // span let cold objects convert before the drain.
+    let mut config = base(11);
+    config.replication = 2;
+    config.adaptive.enabled = true;
+    config.adaptive.replication_min = 2;
+    config.adaptive.interval_ms = 1_000;
+    config.adaptive.ec_threshold_bytes = 128 << 10;
+    let label = "adaptive-chaos-s11";
+    let plan = chaos_plan()
+        .at(Duration::from_secs(30), FaultEvent::Rejoin(NodeId(4)))
+        .at(Duration::from_secs(45), FaultEvent::Crash(NodeId(3)));
+    let (digest, home) = run_cell_settled(label, config, Some(plan), Duration::from_secs(120));
+    let coded = (0..6)
+        .filter(|i| home.is_erasure_coded(&format!("golden/{label}/obj-{i}.bin")))
+        .count();
+    assert!(coded >= 1, "{label}: no object converted to EC stripes");
+    assert!(
+        home.stats().repairs_started >= 1,
+        "{label}: no repair started"
+    );
+    cells.insert(label.to_owned(), digest);
 
     cells
 }
