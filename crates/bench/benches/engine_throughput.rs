@@ -1,17 +1,16 @@
-//! Event-engine throughput — slab wheel vs inline wheel vs `BinaryHeap`.
+//! Event-engine throughput — slab wheel vs `BinaryHeap`.
 //!
 //! Two sections:
 //!
 //! 1. **Hold model** (classic calendar-queue benchmark): pre-fill the
 //!    queue with N pending events, then repeatedly pop-one/push-one so the
 //!    population holds at N. Reports raw events/sec for the production
-//!    slab-arena wheel (`EventQueue`), the PR-7 inline-payload wheel
-//!    (`queue::reference::InlineWheel`), and the reference heap
+//!    slab-arena wheel (`EventQueue`) and the reference heap
 //!    (`queue::reference::RefQueue`) at N = 1k / 10k / 100k / 1M. Delays
-//!    span nine orders of magnitude (same splitmix64 stream for all three
-//!    engines), so the wheels pay their real cascade costs. Payloads are
-//!    112 bytes — `size_of` of the runtime's event enum — so inline
-//!    cascades copy what they would copy in production.
+//!    span nine orders of magnitude (same splitmix64 stream for both
+//!    engines), so the wheel pays its real cascade costs. Payloads are
+//!    112 bytes — `size_of` of the runtime's event enum — so the heap
+//!    moves what it would move in production.
 //! 2. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
 //!    paper testbed — how much of the engine win survives under the full
 //!    stack (overlay, flows, services).
@@ -22,14 +21,8 @@
 //! run until an entire chunk performs zero heap acquisitions, and that
 //! quiescent chunk is the reported measurement. The delay stream is
 //! deterministic, so this is a hard regression gate, not a flaky timing
-//! check. In full mode two speedups are also asserted: ≥ 2× over the
-//! heap at 100k (the PR-6 bar) and ≥ 1.3× over the inline wheel at 1M
-//! (the slab-arena bar). The crossover is real and worth knowing: at
-//! ≤ 100k pending the working set fits in cache and the inline wheel's
-//! payload locality matches the slab's smaller cascades, but at 10⁶
-//! events cascade memory traffic dominates and moving 24-byte slots
-//! instead of 128-byte entries wins outright — on top of the zero-alloc
-//! guarantee, which holds at every size.
+//! check. In full mode the speedup over the heap at 100k is also
+//! asserted (≥ 2×).
 //!
 //! Run with: `cargo bench -p c4h-bench --bench engine_throughput`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: fewer hold ops, no
@@ -39,7 +32,7 @@
 use std::time::{Duration, Instant};
 
 use c4h_bench::{allocations, banner, BenchReport, CountingAlloc};
-use c4h_simnet::queue::reference::{InlineWheel, RefQueue};
+use c4h_simnet::queue::reference::RefQueue;
 use c4h_simnet::EventQueue;
 use c4h_telemetry::{CauseKind, OpLedger, LEDGER_NONE};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
@@ -50,8 +43,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// 112-byte payload — exactly `size_of::<Event>()` for the runtime's
-/// event enum, so the inline wheel pays the cascade-copy costs it would
-/// pay in production.
+/// event enum, so the heap pays the sift-copy costs it would pay in
+/// production.
 type Payload = [u64; 14];
 
 fn payload(seed: u64) -> Payload {
@@ -98,7 +91,7 @@ impl Mix {
 /// Chunks to try before giving up on allocator quiescence.
 const MAX_CHUNKS: u64 = 40;
 
-/// Generates a hold-model runner for one queue engine. All three engines
+/// Generates a hold-model runner for one queue engine. Both engines
 /// share the schedule_in/pop API, identical seeds, and identical op
 /// streams; each returns (events/sec, heap acquisitions, warm chunks).
 ///
@@ -149,12 +142,6 @@ hold_model!(
     /// parked in a generational slab with free-list reuse.
     hold_slab,
     EventQueue<Payload>
-);
-hold_model!(
-    /// The PR-7 wheel with payloads stored inline in bucket vectors —
-    /// the baseline the slab arena must beat.
-    hold_inline,
-    InlineWheel<Payload>
 );
 hold_model!(
     /// The `BinaryHeap` oracle.
@@ -277,43 +264,33 @@ fn runtime_ops_per_sec() -> (u64, f64) {
 fn main() {
     banner(
         "Engine throughput",
-        "slab wheel vs inline wheel vs BinaryHeap (hold model + full stack)",
+        "slab wheel vs BinaryHeap (hold model + full stack)",
     );
     let ops = hold_ops();
     println!(
-        "{:>8} | {:>13} {:>13} {:>13} {:>8} {:>9} {:>9}",
-        "pending", "slab (ev/s)", "inline(ev/s)", "heap (ev/s)", "vs heap", "vs inline", "allocs"
+        "{:>8} | {:>13} {:>13} {:>8} {:>9}",
+        "pending", "slab (ev/s)", "heap (ev/s)", "vs heap", "allocs"
     );
-    println!("{}", "-".repeat(82));
+    println!("{}", "-".repeat(58));
 
     let mut report = BenchReport::new("engine_throughput");
     report.config("smoke", smoke());
     report.config("hold_ops_per_point", ops);
 
     let mut vs_heap_100k = 0.0;
-    let mut vs_inline_1m = 0.0;
     for n in SIZES {
         let (slab, slab_allocs, warm) = hold_slab(n, ops);
-        let (inline, _, _) = hold_inline(n, ops);
         let (heap, _, _) = hold_heap(n, ops);
         let vs_heap = slab / heap;
-        let vs_inline = slab / inline;
         if n == 100_000 {
             vs_heap_100k = vs_heap;
         }
-        if n == 1_000_000 {
-            vs_inline_1m = vs_inline;
-        }
-        println!(
-            "{n:>8} | {slab:>13.0} {inline:>13.0} {heap:>13.0} {vs_heap:>7.2}x {vs_inline:>8.2}x {slab_allocs:>9}"
-        );
+        println!("{n:>8} | {slab:>13.0} {heap:>13.0} {vs_heap:>7.2}x {slab_allocs:>9}");
         report.push_row(vec![
             ("pending", n.into()),
             ("slab_events_per_sec", slab.round().into()),
-            ("inline_events_per_sec", inline.round().into()),
             ("heap_events_per_sec", heap.round().into()),
             ("speedup_vs_heap", vs_heap.into()),
-            ("speedup_vs_inline", vs_inline.into()),
             ("slab_allocs", slab_allocs.into()),
             ("warm_chunks", warm.into()),
         ]);
@@ -383,14 +360,6 @@ fn main() {
             format!(
                 "slab wheel must be >=2x the BinaryHeap reference at 100k \
                  pending events; measured {vs_heap_100k:.2}x"
-            ),
-        );
-        report.check(
-            "speedup_vs_inline_1m",
-            vs_inline_1m >= 1.3,
-            format!(
-                "slab wheel must be >=1.3x the inline-payload wheel at 1M \
-                 pending events; measured {vs_inline_1m:.2}x"
             ),
         );
     }

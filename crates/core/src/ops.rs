@@ -30,7 +30,8 @@ use crate::overload::{shed_reason_code, AdmitDecision};
 use crate::policy::{PlacementClass, RoutePolicy, StorePolicy};
 use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport};
 use crate::runtime::{
-    ec_stripe_name, Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE,
+    ec_stripe_name, Cloud4Home, FanoutJob, FlowOwner, CLOUD_ADDR, FANOUT_TRACK_BASE,
+    STRIPE_TRACK_BASE,
 };
 
 /// Size of a command packet on the guest ↔ dom0 channel ("commands are
@@ -873,9 +874,7 @@ impl Cloud4Home {
         if !op.replica_flows.is_empty() {
             let flows: Vec<FlowId> = op.replica_flows.keys().copied().collect();
             for flow in flows {
-                self.net.cancel(flow);
-                self.flow_waiters.remove(&flow);
-                self.flow_endpoints.remove(&flow);
+                self.cancel_claim(flow);
             }
             op.replica_flows.clear();
         }
@@ -885,9 +884,7 @@ impl Cloud4Home {
             let flights: Vec<(FlowId, StripeFlight)> =
                 std::mem::take(&mut op.stripe_flows).into_iter().collect();
             for (flow, flight) in flights {
-                self.net.cancel(flow);
-                self.flow_waiters.remove(&flow);
-                self.flow_endpoints.remove(&flow);
+                self.cancel_claim(flow);
                 self.emit_stripe_span(&op, flow, &flight, false);
             }
             op.stripe_requests.clear();
@@ -2101,7 +2098,6 @@ impl Cloud4Home {
             std::mem::take(&mut op.replica_flows).into_iter().collect();
         let bytes = op.object_bytes();
         for (flow, flight) in flights {
-            self.flow_waiters.remove(&flow);
             let span = self.telemetry.begin_args(
                 "fanout",
                 "fanout.replica",
@@ -2122,16 +2118,17 @@ impl Cloud4Home {
                 .expect("store carries payload")
                 .blob
                 .clone();
-            self.fanout_flows.insert(
-                flow,
-                FanoutJob {
-                    name: op.name,
-                    dst: flight.target,
-                    bytes,
-                    blob,
-                    span,
-                },
-            );
+            let job = FanoutJob {
+                name: op.name,
+                dst: flight.target,
+                bytes,
+                blob,
+                span,
+            };
+            // The transfer carries on; only its owner changes.
+            if let Some(claim) = self.flows.get_mut(&flow) {
+                claim.owner = FlowOwner::Fanout(job);
+            }
         }
     }
 
@@ -2717,9 +2714,7 @@ impl Cloud4Home {
         let Some(flight) = op.stripe_flows.remove(&flow) else {
             return;
         };
-        self.net.cancel(flow);
-        self.flow_waiters.remove(&flow);
-        self.flow_endpoints.remove(&flow);
+        self.cancel_claim(flow);
         self.emit_stripe_span(op, flow, &flight, false);
     }
 

@@ -267,6 +267,30 @@ pub(crate) struct RepairJob {
     pub(crate) span: SpanId,
 }
 
+/// Who a bulk transfer's completion, or its abort, is routed to.
+#[derive(Debug)]
+pub(crate) enum FlowOwner {
+    /// A foreground operation's state machine.
+    Op(OpId),
+    /// A background re-replication transfer.
+    Repair(RepairJob),
+    /// A store fan-out straggler that detached at a quorum publish.
+    Fanout(FanoutJob),
+    /// One stripe transfer of the named object's erasure-coding conversion.
+    EcConvert(Sym),
+    /// One survivor-stripe transfer of a lost-stripe rebuild (by job id).
+    EcRepair(u64),
+}
+
+/// One in-flight bulk transfer: the endpoints a crash or partition cuts
+/// it by, and the owner its completion or abort is routed to.
+#[derive(Debug)]
+pub(crate) struct FlowClaim {
+    pub(crate) src: Addr,
+    pub(crate) dst: Addr,
+    pub(crate) owner: FlowOwner,
+}
+
 /// The per-holder object name a code row's stripe is stored under.
 /// Interned: conversions are cold-path, and repeated repair scans of the
 /// same stripe resolve to the same `Sym` without re-allocating.
@@ -338,8 +362,10 @@ pub struct Cloud4Home {
     pub(crate) ops: FxHashMap<OpId, Op>,
     pub(crate) reports: FxHashMap<OpId, OpReport>,
     pub(crate) dht_waiters: FxHashMap<(usize, ReqId), DhtWaiter>,
-    pub(crate) flow_waiters: FxHashMap<FlowId, OpId>,
-    pub(crate) flow_endpoints: FxHashMap<FlowId, (Addr, Addr)>,
+    /// Every in-flight bulk transfer the runtime started, with its owner.
+    /// Keyed access only, except where aborts sort the matching ids, so
+    /// `HashMap` ordering cannot perturb determinism.
+    pub(crate) flows: FxHashMap<FlowId, FlowClaim>,
     pub(crate) next_op: u64,
     pub(crate) stats: RunStats,
     pub(crate) message_loss: f64,
@@ -370,10 +396,6 @@ pub struct Cloud4Home {
     /// Next instant the anti-entropy sweep may run (piggybacks on the
     /// runtime tick).
     next_anti_entropy: SimTime,
-    /// Background re-replication transfers keyed by their flow.
-    pub(crate) repair_flows: FxHashMap<FlowId, RepairJob>,
-    /// Detached store fan-out transfers keyed by their flow.
-    pub(crate) fanout_flows: FxHashMap<FlowId, FanoutJob>,
     /// Reusable scratch buffer for [`FlowNet::advance_into`] — the main
     /// loop drains flow completions every step, so the allocation is paid
     /// once instead of per step. Taken (`mem::take`) while in use; a
@@ -401,15 +423,9 @@ pub struct Cloud4Home {
     pub(crate) ec_originals: BTreeMap<Sym, Blob>,
     /// In-flight full-copy → stripe conversions, keyed by object name.
     pub(crate) ec_converts: BTreeMap<Sym, EcConvert>,
-    /// Conversion stripe transfers: flow → converting object. Keyed access
-    /// only, so `HashMap` ordering cannot perturb determinism.
-    pub(crate) ec_convert_flows: FxHashMap<FlowId, Sym>,
     /// In-flight lost-stripe rebuilds, keyed by job id (`BTreeMap` so
     /// scrub-time scans are deterministic).
     pub(crate) ec_repairs: BTreeMap<u64, EcRepair>,
-    /// Rebuild survivor transfers: flow → rebuild job id. Keyed access
-    /// only.
-    pub(crate) ec_repair_flows: FxHashMap<FlowId, u64>,
     /// Next lost-stripe rebuild job id.
     next_ec_repair: u64,
     /// Next instant the adaptive placement pass may run (piggybacks on
@@ -569,8 +585,7 @@ impl Cloud4Home {
             ops: FxHashMap::default(),
             reports: FxHashMap::default(),
             dht_waiters: FxHashMap::default(),
-            flow_waiters: FxHashMap::default(),
-            flow_endpoints: FxHashMap::default(),
+            flows: FxHashMap::default(),
             next_op: 1,
             stats: RunStats::default(),
             message_loss: 0.0,
@@ -582,8 +597,6 @@ impl Cloud4Home {
             holder_index: FxHashMap::default(),
             repair_scan_visits: 0,
             next_anti_entropy: SimTime::ZERO,
-            repair_flows: FxHashMap::default(),
-            fanout_flows: FxHashMap::default(),
             flow_scratch: Vec::new(),
             names_scratch: Vec::new(),
             repaired_peers: BTreeSet::new(),
@@ -594,9 +607,7 @@ impl Cloud4Home {
             object_heat: ObjectHeat::new(config.adaptive.heat_alpha),
             ec_originals: BTreeMap::new(),
             ec_converts: BTreeMap::new(),
-            ec_convert_flows: FxHashMap::default(),
             ec_repairs: BTreeMap::new(),
-            ec_repair_flows: FxHashMap::default(),
             next_ec_repair: 0,
             next_adaptive: SimTime::ZERO,
             telemetry,
@@ -1440,8 +1451,9 @@ impl Cloud4Home {
 
     /// Crashes a node: it stops responding, transfers it was part of abort
     /// (the waiting operations fail over to surviving replicas where they
-    /// can), and its unreplicated state is lost until failure detection
-    /// recovers what replicas hold.
+    /// can), operations of its own that wait on a DHT request fail, and its
+    /// unreplicated state is lost until failure detection recovers what
+    /// replicas hold.
     pub fn crash_node(&mut self, id: NodeId) {
         self.nodes[id.0].alive = false;
         let addr = self.nodes[id.0].addr;
@@ -1495,43 +1507,42 @@ impl Cloud4Home {
     /// ever find the shortfall.
     fn abort_flows(&mut self, cut: impl Fn(Addr, Addr) -> bool, why: &str) {
         let mut dead_flows: Vec<FlowId> = self
-            .flow_endpoints
+            .flows
             .iter()
-            .filter(|(_, (src, dst))| cut(*src, *dst))
+            .filter(|(_, c)| cut(c.src, c.dst))
             .map(|(f, _)| *f)
             .collect();
-        // `flow_endpoints` is a HashMap; sort so the abort order (and thus
-        // every downstream RNG draw) is deterministic.
+        // `flows` is a HashMap; sort so the abort order (and thus every
+        // downstream RNG draw) is deterministic.
         dead_flows.sort();
         let mut orphaned: Vec<Sym> = Vec::new();
         let mut dead_converts: Vec<Sym> = Vec::new();
         let mut dead_ec_repairs: Vec<u64> = Vec::new();
         for flow in dead_flows {
-            self.net.cancel(flow);
-            self.flow_endpoints.remove(&flow);
-            if let Some(job) = self.repair_flows.remove(&flow) {
-                self.telemetry.end_args(
-                    job.span,
-                    self.now().as_nanos(),
-                    vec![("installed", ArgValue::from(false))],
-                );
-            }
-            if let Some(job) = self.fanout_flows.remove(&flow) {
-                self.telemetry.end_args(
-                    job.span,
-                    self.now().as_nanos(),
-                    vec![("installed", ArgValue::from(false))],
-                );
-                orphaned.push(job.name);
-            }
-            if let Some(name) = self.ec_convert_flows.remove(&flow) {
-                dead_converts.push(name);
-            }
-            if let Some(id) = self.ec_repair_flows.remove(&flow) {
-                dead_ec_repairs.push(id);
-            }
-            if let Some(op) = self.flow_waiters.remove(&flow) {
-                self.transfer_failed(op, flow, why);
+            // An earlier abort's recovery may already have canceled it.
+            let Some(claim) = self.cancel_claim(flow) else {
+                continue;
+            };
+            let now = self.now().as_nanos();
+            match claim.owner {
+                FlowOwner::Op(op) => self.transfer_failed(op, flow, why),
+                FlowOwner::Repair(job) => {
+                    self.telemetry.end_args(
+                        job.span,
+                        now,
+                        vec![("installed", ArgValue::from(false))],
+                    );
+                }
+                FlowOwner::Fanout(job) => {
+                    self.telemetry.end_args(
+                        job.span,
+                        now,
+                        vec![("installed", ArgValue::from(false))],
+                    );
+                    orphaned.push(job.name);
+                }
+                FlowOwner::EcConvert(name) => dead_converts.push(name),
+                FlowOwner::EcRepair(id) => dead_ec_repairs.push(id),
             }
         }
         for name in orphaned {
@@ -1553,9 +1564,7 @@ impl Cloud4Home {
         for id in dead_ec_repairs {
             if let Some(job) = self.ec_repairs.remove(&id) {
                 for &f in job.pending.keys() {
-                    self.net.cancel(f);
-                    self.flow_endpoints.remove(&f);
-                    self.ec_repair_flows.remove(&f);
+                    self.cancel_claim(f);
                 }
                 self.maybe_repair(job.name);
             }
@@ -1802,19 +1811,30 @@ impl Cloud4Home {
             self.step();
         }
         if self.now() < target {
-            let mut events = std::mem::take(&mut self.flow_scratch);
-            self.net.advance_into(target, &mut events);
-            self.queue.advance_to(target);
-            for &FlowEvent::Completed { flow, .. } in &events {
-                self.reap_flow(flow);
-            }
-            self.flow_scratch = events;
+            self.drain_flows(target, true);
             // An early-fired completion may have scheduled follow-on work
             // at or before the horizon; drain it.
             while self.next_time().is_some_and(|t| t <= target) {
                 self.step();
             }
         }
+    }
+
+    /// Advances the flow engine to `t` and routes every completion that
+    /// surfaces on the way, outside any operation's step. With `park` the
+    /// queue clock moves to `t` before the completions are routed;
+    /// without it they are routed at the current clock, ahead of the
+    /// queue event at `t` they surfaced for.
+    fn drain_flows(&mut self, t: SimTime, park: bool) {
+        let mut events = std::mem::take(&mut self.flow_scratch);
+        self.net.advance_into(t, &mut events);
+        if park {
+            self.queue.advance_to(t);
+        }
+        for &FlowEvent::Completed { flow, .. } in &events {
+            self.reap_flow(flow);
+        }
+        self.flow_scratch = events;
     }
 
     /// Advances the flow engine to `now` while mid-step (starting a new
@@ -1837,18 +1857,48 @@ impl Cloud4Home {
     /// flow nobody claims (canceled between completion and routing) is
     /// inert.
     fn reap_flow(&mut self, flow: FlowId) {
-        self.flow_endpoints.remove(&flow);
-        if let Some(op) = self.flow_waiters.remove(&flow) {
-            self.op_continue(op, OpInput::FlowDone { flow });
-        } else if let Some(job) = self.repair_flows.remove(&flow) {
-            self.finish_repair(job);
-        } else if let Some(job) = self.fanout_flows.remove(&flow) {
-            self.finish_background_replica(job);
-        } else if let Some(name) = self.ec_convert_flows.remove(&flow) {
-            self.ec_convert_flow_done(flow, name);
-        } else if let Some(id) = self.ec_repair_flows.remove(&flow) {
-            self.ec_repair_flow_done(flow, id);
+        let Some(claim) = self.flows.remove(&flow) else {
+            return;
+        };
+        match claim.owner {
+            FlowOwner::Op(op) => self.op_continue(op, OpInput::FlowDone { flow }),
+            FlowOwner::Repair(job) => self.finish_repair(job),
+            FlowOwner::Fanout(job) => self.finish_background_replica(job),
+            FlowOwner::EcConvert(name) => self.ec_convert_flow_done(flow, name),
+            FlowOwner::EcRepair(id) => self.ec_repair_flow_done(flow, id),
         }
+    }
+
+    /// Cancels a flow in the network and drops its claim, which is handed
+    /// back (`None` when the flow was already reaped or canceled).
+    pub(crate) fn cancel_claim(&mut self, flow: FlowId) -> Option<FlowClaim> {
+        self.net.cancel(flow);
+        self.flows.remove(&flow)
+    }
+
+    /// Claims a flow just started between nodes `src` and `dst`.
+    fn claim_node_flow(&mut self, flow: FlowId, src: usize, dst: usize, owner: FlowOwner) {
+        let (src, dst) = (self.nodes[src].addr, self.nodes[dst].addr);
+        self.flows.insert(flow, FlowClaim { src, dst, owner });
+    }
+
+    /// Claims held by foreground operations; every other claim is
+    /// background placement work.
+    fn op_claims(&self) -> usize {
+        self.flows
+            .values()
+            .filter(|c| matches!(c.owner, FlowOwner::Op(_)))
+            .count()
+    }
+
+    /// Whether a repair or a detached fan-out transfer of `name` is in
+    /// flight (and may yet land the copy a scan would otherwise add).
+    fn replica_flow_in_flight(&self, name: Sym) -> bool {
+        self.flows.values().any(|c| match &c.owner {
+            FlowOwner::Repair(job) => job.name == name,
+            FlowOwner::Fanout(job) => job.name == name,
+            _ => false,
+        })
     }
 
     /// Runs until the given operation completes, returning its report.
@@ -1877,12 +1927,7 @@ impl Cloud4Home {
     /// transfer (detached store fan-out stragglers, repair re-replication)
     /// has landed.
     pub fn run_until_idle(&mut self) {
-        while !self.ops.is_empty()
-            || !self.fanout_flows.is_empty()
-            || !self.repair_flows.is_empty()
-            || !self.ec_convert_flows.is_empty()
-            || !self.ec_repair_flows.is_empty()
-        {
+        while !self.ops.is_empty() || self.flows.len() > self.op_claims() {
             self.ensure_tick();
             assert!(self.step(), "simulation stalled with operations pending");
         }
@@ -1923,24 +1968,12 @@ impl Cloud4Home {
             (Some(a), None) => a,
             (None, Some(b)) => b,
         };
-        if nt == Some(t) && qt.is_none_or(|q| t <= q) {
-            let mut events = std::mem::take(&mut self.flow_scratch);
-            self.net.advance_into(t, &mut events);
-            self.queue.advance_to(t);
-            for &FlowEvent::Completed { flow, .. } in &events {
-                self.reap_flow(flow);
-            }
-            self.flow_scratch = events;
-        } else {
-            // The flow engine predicted no completion at or before `t`, but
-            // float accrual can still land one a hair early — route it, or
-            // the waiter hangs forever.
-            let mut events = std::mem::take(&mut self.flow_scratch);
-            self.net.advance_into(t, &mut events);
-            for &FlowEvent::Completed { flow, .. } in &events {
-                self.reap_flow(flow);
-            }
-            self.flow_scratch = events;
+        // Ties go to the network. Otherwise the flow engine predicted no
+        // completion at or before `t`, but float accrual can still land one
+        // a hair early — route it, or the waiter hangs forever.
+        let net_first = nt == Some(t) && qt.is_none_or(|q| t <= q);
+        self.drain_flows(t, net_first);
+        if !net_first {
             let (_, event) = self.queue.pop().expect("queue has an event at t");
             self.dispatch(event);
         }
@@ -1967,14 +2000,8 @@ impl Cloud4Home {
                         .observe("runtime.queue_depth", self.queue.len() as u64);
                     self.telemetry
                         .observe("runtime.ops_inflight", self.ops.len() as u64);
-                    self.telemetry.observe(
-                        "runtime.flows_inflight",
-                        (self.flow_waiters.len()
-                            + self.repair_flows.len()
-                            + self.fanout_flows.len()
-                            + self.ec_convert_flows.len()
-                            + self.ec_repair_flows.len()) as u64,
-                    );
+                    self.telemetry
+                        .observe("runtime.flows_inflight", self.flows.len() as u64);
                 }
                 for i in 0..self.nodes.len() {
                     if self.nodes[i].alive {
@@ -2020,19 +2047,14 @@ impl Cloud4Home {
         let now = self.now();
         self.health.last_sample = Some(now);
         let ts = now.as_nanos();
+        let op_claims = self.op_claims();
         let mut row: Vec<(String, i64)> = vec![
             ("runtime.queue_depth".to_owned(), self.queue.len() as i64),
             ("runtime.ops_inflight".to_owned(), self.ops.len() as i64),
-            (
-                "runtime.flows_inflight".to_owned(),
-                self.flow_waiters.len() as i64,
-            ),
+            ("runtime.flows_inflight".to_owned(), op_claims as i64),
             (
                 "runtime.background_jobs".to_owned(),
-                (self.repair_flows.len()
-                    + self.fanout_flows.len()
-                    + self.ec_convert_flows.len()
-                    + self.ec_repair_flows.len()) as i64,
+                (self.flows.len() - op_claims) as i64,
             ),
         ];
         for load in self.net.segment_loads() {
@@ -2263,8 +2285,8 @@ impl Cloud4Home {
             .start_transfer(now, src, dst, bytes.max(1), chunking, &mut self.rng)
             .expect("routes exist between all configured sites");
         self.stats.flows_started += 1;
-        self.flow_waiters.insert(id, op);
-        self.flow_endpoints.insert(id, (src, dst));
+        let owner = FlowOwner::Op(op);
+        self.flows.insert(id, FlowClaim { src, dst, owner });
         id
     }
 
@@ -2470,11 +2492,8 @@ impl Cloud4Home {
         if holders.len() >= target {
             return;
         }
-        if self.repair_flows.values().any(|job| job.name == name) {
-            return; // a repair for this object is already in flight
-        }
-        if self.fanout_flows.values().any(|job| job.name == name) {
-            return; // a detached store straggler may still land the copy
+        if self.replica_flow_in_flight(name) {
+            return; // a repair or a detached store straggler may land the copy
         }
         // Source: skip holders whose path breaker is open (a read-only
         // check — background repair must not race the half-open probe),
@@ -2542,8 +2561,6 @@ impl Cloud4Home {
         };
         self.stats.flows_started += 1;
         self.stats.repairs_started += 1;
-        self.flow_endpoints
-            .insert(flow, (self.nodes[src].addr, self.nodes[dst].addr));
         let span = self.telemetry.begin_args(
             "repair",
             "repair",
@@ -2556,16 +2573,14 @@ impl Cloud4Home {
                 ("bytes", ArgValue::from(size)),
             ],
         );
-        self.repair_flows.insert(
-            flow,
-            RepairJob {
-                name,
-                src,
-                dst,
-                bytes: size,
-                span,
-            },
-        );
+        let job = RepairJob {
+            name,
+            src,
+            dst,
+            bytes: size,
+            span,
+        };
+        self.claim_node_flow(flow, src, dst, FlowOwner::Repair(job));
         self.ensure_tick();
         true
     }
@@ -2806,10 +2821,7 @@ impl Cloud4Home {
         let Location::Home { node } = meta.location else {
             return;
         };
-        if self.ec_converts.contains_key(&name)
-            || self.repair_flows.values().any(|j| j.name == name)
-            || self.fanout_flows.values().any(|j| j.name == name)
-        {
+        if self.ec_converts.contains_key(&name) || self.replica_flow_in_flight(name) {
             return; // let in-flight placement work land first
         }
         let size = meta.size_bytes;
@@ -2992,47 +3004,22 @@ impl Cloud4Home {
         self.nodes[owner]
             .objects
             .insert(sname0, Blob::inline(stripes[0].clone()));
-        let now = self.now();
-        self.defer_flow_completions(now);
-        let mut pending: BTreeMap<FlowId, u32> = BTreeMap::new();
-        let mut failed = false;
-        for (row, &site) in sites.iter().enumerate().skip(1) {
-            match self.net.start_flow(
-                now,
-                self.nodes[owner].addr,
-                self.nodes[site].addr,
-                stripe_len.max(1),
-                &mut self.rng,
-            ) {
-                Ok(flow) => {
-                    self.stats.flows_started += 1;
-                    self.flow_endpoints
-                        .insert(flow, (self.nodes[owner].addr, self.nodes[site].addr));
-                    self.ec_convert_flows.insert(flow, name);
-                    pending.insert(flow, row as u32);
-                }
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            for &flow in pending.keys() {
-                self.net.cancel(flow);
-                self.flow_endpoints.remove(&flow);
-                self.ec_convert_flows.remove(&flow);
-            }
+        let legs: Vec<(usize, usize, u32)> = (1..total)
+            .map(|row| (owner, sites[row], row as u32))
+            .collect();
+        let Some(pending) =
+            self.start_stripe_flows(&legs, stripe_len, || FlowOwner::EcConvert(name))
+        else {
             self.nodes[owner].objects.remove(&sname0);
             self.nodes[owner].bins.remove(sname0.as_str());
             return;
-        }
+        };
         self.telemetry.add("adaptive.ec_converts", 1);
         self.telemetry.instant_args(
             "adaptive",
             "adaptive.ec_convert",
             RUNTIME_TRACK,
-            now.as_nanos(),
+            self.now().as_nanos(),
             vec![
                 ("object", ArgValue::from(name.as_str())),
                 ("k", ArgValue::from(k as u64)),
@@ -3051,6 +3038,36 @@ impl Cloud4Home {
             },
         );
         self.ensure_tick();
+    }
+
+    /// Starts one stripe transfer per `(src, dst, row)` leg, each claimed
+    /// by `owner()`, and maps each flow to its leg's row. All or nothing:
+    /// if a leg cannot start, the legs already started are canceled.
+    fn start_stripe_flows(
+        &mut self,
+        legs: &[(usize, usize, u32)],
+        stripe_len: u64,
+        owner: impl Fn() -> FlowOwner,
+    ) -> Option<BTreeMap<FlowId, u32>> {
+        let now = self.now();
+        self.defer_flow_completions(now);
+        let mut pending = BTreeMap::new();
+        for &(src, dst, row) in legs {
+            let (a, b) = (self.nodes[src].addr, self.nodes[dst].addr);
+            let Ok(flow) = self
+                .net
+                .start_flow(now, a, b, stripe_len.max(1), &mut self.rng)
+            else {
+                for &flow in pending.keys() {
+                    self.cancel_claim(flow);
+                }
+                return None;
+            };
+            self.stats.flows_started += 1;
+            self.claim_node_flow(flow, src, dst, owner());
+            pending.insert(flow, row);
+        }
+        Some(pending)
     }
 
     /// One conversion stripe transfer landed: install the row on its
@@ -3098,9 +3115,7 @@ impl Cloud4Home {
     /// keeps its full copies; a later pass may try again.
     fn ec_convert_abort(&mut self, name: Sym, conv: EcConvert) {
         for &flow in conv.pending.keys() {
-            self.net.cancel(flow);
-            self.flow_endpoints.remove(&flow);
-            self.ec_convert_flows.remove(&flow);
+            self.cancel_claim(flow);
         }
         for &row in &conv.installed {
             if let Some(j) = self.node_index(conv.layout.holders[row as usize]) {
@@ -3264,42 +3279,13 @@ impl Cloud4Home {
         if !self.retry_budget_take(dst, "repair", name) {
             return;
         }
-        let now = self.now();
-        self.defer_flow_completions(now);
-        let mut pending: BTreeMap<FlowId, u32> = BTreeMap::new();
-        let mut failed = false;
-        for &(r, s) in &srcs {
-            match self.net.start_flow(
-                now,
-                self.nodes[s].addr,
-                self.nodes[dst].addr,
-                stripe_len.max(1),
-                &mut self.rng,
-            ) {
-                Ok(flow) => {
-                    self.stats.flows_started += 1;
-                    self.flow_endpoints
-                        .insert(flow, (self.nodes[s].addr, self.nodes[dst].addr));
-                    pending.insert(flow, r);
-                }
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            for &flow in pending.keys() {
-                self.net.cancel(flow);
-                self.flow_endpoints.remove(&flow);
-            }
-            return;
-        }
         let id = self.next_ec_repair;
+        let legs: Vec<(usize, usize, u32)> = srcs.iter().map(|&(r, s)| (s, dst, r)).collect();
+        let Some(pending) = self.start_stripe_flows(&legs, stripe_len, || FlowOwner::EcRepair(id))
+        else {
+            return;
+        };
         self.next_ec_repair += 1;
-        for &flow in pending.keys() {
-            self.ec_repair_flows.insert(flow, id);
-        }
         self.stats.repairs_started += 1;
         self.telemetry.add("adaptive.ec_repairs", 1);
         self.ec_repairs.insert(
@@ -3424,9 +3410,7 @@ impl Cloud4Home {
         for id in ids {
             if let Some(job) = self.ec_repairs.remove(&id) {
                 for &flow in job.pending.keys() {
-                    self.net.cancel(flow);
-                    self.flow_endpoints.remove(&flow);
-                    self.ec_repair_flows.remove(&flow);
+                    self.cancel_claim(flow);
                 }
             }
         }
@@ -3453,21 +3437,22 @@ mod step_order_tests {
     //! nanosecond, the completion is reaped *first* and the queue event is
     //! delivered after it, within the same instant.
     //!
-    //! Audit of the four `net.advance()` call sites this ordering rests on
-    //! (see DESIGN.md §12 for the full notes):
+    //! Audit of the two routines that advance the flow engine, which this
+    //! ordering rests on (see DESIGN.md §12 for the full notes):
     //!
-    //! * `step`, net branch — taken when `net_t <= queue_t`, so the tie
-    //!   goes to the network by construction; this test pins it.
-    //! * `step`, queue branch — advances the net to the queue instant
-    //!   first and reaps any float-accrual-early completions before
-    //!   dispatching, so a completion can never be processed *after* a
-    //!   queue event of a strictly earlier instant.
-    //! * `run_for` — horizon drain; advances net and queue to the same
-    //!   target and reaps before stepping again.
-    //! * `defer_flow_completions` — mid-dispatch advances; completions
-    //!   surfacing here become `Event::FlowReap` at `Duration::ZERO`,
-    //!   which seq-orders *after* everything already queued at the
-    //!   current instant (the wheel preserves exactly this).
+    //! * `drain_flows` — the one advance-and-reap routine, with three
+    //!   callers. `step`'s net branch (taken when `net_t <= queue_t`, so
+    //!   the tie goes to the network by construction; this test pins it)
+    //!   parks the queue clock at the instant first. `step`'s queue branch
+    //!   reaps any float-accrual-early completions before dispatching, so
+    //!   a completion can never be processed *after* a queue event of a
+    //!   strictly earlier instant. `run_for`'s horizon drain parks the
+    //!   queue at the target and reaps before stepping again.
+    //! * `defer_flow_completions` — the only deferring site, for
+    //!   mid-dispatch advances; completions surfacing here become
+    //!   `Event::FlowReap` at `Duration::ZERO`, which seq-orders *after*
+    //!   everything already queued at the current instant (the wheel
+    //!   preserves exactly this).
 
     use super::*;
 
@@ -3546,5 +3531,133 @@ mod step_order_tests {
         assert_eq!(home.now(), done_at);
         assert!(home.queue.is_empty());
         assert_eq!(home.net.next_event(), None);
+    }
+}
+
+#[cfg(test)]
+mod flow_registry_tests {
+    //! The flow-claim table agrees with the flow engine: every claim names
+    //! a transfer the engine still has in flight (or whose early completion
+    //! is queued for reaping), and a drained deployment holds no claims
+    //! and no transfers.
+
+    use super::*;
+    use crate::object::Object;
+    use crate::policy::{RoutePolicy, StorePolicy};
+
+    /// Every claim's flow is live in the engine, unless its completion
+    /// surfaced mid-step and a `FlowReap` for it is queued.
+    fn assert_claims_live(home: &Cloud4Home, label: &str) {
+        for (&flow, claim) in &home.flows {
+            assert!(
+                home.net.progress(flow).is_some() || home.queue.peek_time() == Some(home.now()),
+                "{label}: claim {flow:?} ({:?}) has no live flow at {}",
+                claim.owner,
+                home.now()
+            );
+        }
+    }
+
+    /// Steps until `op` has a report, checking the table after every step.
+    fn step_until_done(home: &mut Cloud4Home, op: OpId, label: &str) {
+        while !home.reports.contains_key(&op) {
+            home.ensure_tick();
+            assert!(home.step(), "{label}: stalled while {op} pending");
+            assert_claims_live(home, label);
+        }
+    }
+
+    /// A store/fetch/list/process/delete script under a crash, a partition
+    /// and bursty loss, then a settling span and a drain — all stepped by
+    /// hand so the table is checked after every single step.
+    fn check_run(label: &str, config: Config) {
+        let mut home = Cloud4Home::new(config);
+        home.inject_faults(
+            FaultPlan::new()
+                .at(
+                    Duration::from_secs(1),
+                    FaultEvent::BurstyLoss {
+                        mean_loss: 0.05,
+                        mean_burst_len: 4.0,
+                    },
+                )
+                .at(Duration::from_secs(3), FaultEvent::Crash(NodeId(4)))
+                .at(
+                    Duration::from_secs(6),
+                    FaultEvent::Partition(vec![vec![NodeId(1)]]),
+                )
+                .at(Duration::from_secs(15), FaultEvent::Heal)
+                .at(Duration::from_secs(30), FaultEvent::Rejoin(NodeId(4)))
+                .at(Duration::from_secs(45), FaultEvent::Crash(NodeId(3))),
+        );
+        let live = |home: &Cloud4Home, i: usize| {
+            (0..home.nodes.len())
+                .map(|k| (i + k) % home.nodes.len())
+                .find(|&j| home.nodes[j].alive)
+                .map(NodeId)
+                .expect("a live node")
+        };
+        let names: Vec<String> = (0..6).map(|i| format!("reg/{label}/{i}.bin")).collect();
+        for (i, name) in names.iter().enumerate() {
+            let obj = Object::synthetic(name, i as u64, (64 + 96 * i as u64) << 10, "doc");
+            let client = live(&home, i);
+            let op = home.store_object(client, obj, StorePolicy::ForceHome, true);
+            step_until_done(&mut home, op, label);
+        }
+        for (i, name) in names.iter().enumerate() {
+            let client = live(&home, i + 3);
+            let op = home.fetch_object(client, name);
+            step_until_done(&mut home, op, label);
+        }
+        let op = home.list_objects(live(&home, 1), &format!("reg/{label}"));
+        step_until_done(&mut home, op, label);
+        let op = home.process_object(
+            live(&home, 2),
+            &names[0],
+            ServiceKind::Compress,
+            RoutePolicy::Performance,
+        );
+        step_until_done(&mut home, op, label);
+        let op = home.delete_object(live(&home, 5), &names[5]);
+        step_until_done(&mut home, op, label);
+
+        let settle = home.now() + Duration::from_secs(90);
+        home.tick_horizon = home.tick_horizon.max(settle);
+        home.ensure_tick();
+        while home.next_time().is_some_and(|t| t <= settle) {
+            assert!(home.step());
+            assert_claims_live(&home, label);
+        }
+        home.run_until_idle();
+        assert!(
+            home.flows.is_empty(),
+            "{label}: claims left after the drain: {:?}",
+            home.flows.values().map(|c| &c.owner).collect::<Vec<_>>()
+        );
+        assert_eq!(home.net.in_flight(), 0, "{label}: transfers left");
+    }
+
+    #[test]
+    fn claims_track_live_flows_and_drain_empty() {
+        let mut config = Config::paper_testbed(11);
+        config.replication = 3;
+        config.replica_quorum = 2;
+        check_run("quorum", config);
+
+        let mut config = Config::paper_testbed(11);
+        config.replication = 3;
+        config.fetch_sources = 3;
+        config.fetch_hedge = 1.3;
+        check_run("striping", config);
+
+        let mut config = Config::paper_testbed(11);
+        config.replication = 2;
+        config.chunk_bytes = 64 << 10;
+        config.chunk_window = 4;
+        config.adaptive.enabled = true;
+        config.adaptive.replication_min = 2;
+        config.adaptive.interval_ms = 1_000;
+        config.adaptive.ec_threshold_bytes = 128 << 10;
+        check_run("adaptive-ec", config);
     }
 }

@@ -3,8 +3,9 @@
 //! surfacing at queue-event instants) re-audited against wheel-bucketed
 //! delivery.
 //!
-//! The four `net.advance()` call sites (`run_for`, `step`'s two branches,
-//! `defer_flow_completions`) all promise: a flow completion landing at the
+//! The two routines that advance the flow engine (`drain_flows`, shared
+//! by `run_for` and `step`'s two branches, and `defer_flow_completions`)
+//! both promise: a flow completion landing at the
 //! same virtual instant as queued events is routed to its waiter at that
 //! instant, never stranded, and the interleaving is identical under the
 //! same seed. These tests drive the paths hard — pipelined chunked

@@ -240,10 +240,11 @@ fn corpus() -> BTreeMap<String, String> {
         run_cell("ledger-s11", config, None),
     );
 
-    // Adaptive placement with erasure coding under chaos: pins every kind
-    // of background transfer (repair, EC conversion and rebuild) and how
-    // crashes and partitions abort them. Lowered thresholds and a settling
-    // span let cold objects convert before the drain.
+    // Adaptive placement with erasure coding under chaos: pins repair, EC
+    // conversion and EC rebuild transfers (the last two started by no
+    // other cell) under crashes, a rejoin and a partition. Lowered
+    // thresholds and a settling span let cold objects convert before the
+    // drain.
     let mut config = base(11);
     config.replication = 2;
     config.adaptive.enabled = true;
